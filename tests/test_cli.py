@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -118,6 +119,46 @@ class TestDistanceCommand:
         )
         assert code == 4
         assert "work cap" in err
+
+    def test_planted_output_bytes_are_pinned(self, capsys, tmp_path):
+        fpath, dpath = str(tmp_path / "f.json"), str(tmp_path / "d.json")
+        code, _, _ = run_cli(
+            capsys, "gen", "--kind", "planted", "--n", "12", "--k", "3",
+            "--eps", "0.25", "--seed", "11",
+            "--out-function", fpath, "--out-dist", dpath,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "distance", "--function", fpath, "--dist", dpath, "--k", "3"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["distance"] == 0.5
+        assert doc["best_subset"] == [1, 2, 3]
+        # the bytes a full-table scan over every 3-subset writes for this fixture
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b28bb4a538ad987f0e823bd1616f95007dbe34ccdbf89261feace8ecca040e4a"
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 2, "dense": [NaN, 1, 1, 1]}',
+            '{"n": 2, "dense": [Infinity, 1, 1, 1]}',
+            '{"n": 2, "support": [{"x": "1", "w": 1}]}',
+            '{"n": 2, "support": [{"x": "01", "w": 1}, {"x": "01", "w": 2}]}',
+        ],
+    )
+    def test_malformed_distribution_exits_2(self, capsys, tmp_path, junta_files, doc):
+        dpath = tmp_path / "bad_dist.json"
+        dpath.write_text(doc)
+        code, out, err = run_cli(
+            capsys, "distance", "--function", junta_files[0], "--dist", str(dpath),
+            "--k", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad_dist.json" in err
 
 
 class TestSpectrumCommand:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juntatester.boolfn import BitString, BooleanFunction
 from juntatester.distribution import (
@@ -23,6 +25,55 @@ def brute_force_distance(f, dist, k):
             err = float(np.sum(w * (h.table != f.table)))
             best = min(best, err)
     return best
+
+
+def reference_certificate(f, dist, k):
+    """Full-table scan: one `best_junta_on` call per k-subset, lexicographic order."""
+    best = None
+    for subset in itertools.combinations(range(1, f.n + 1), k):
+        junta, error = best_junta_on(f, dist, subset)
+        if best is None or error < best[0] - 1e-9:
+            best = (error, subset, junta)
+        if best[0] <= 0.0:
+            break
+    error, subset, junta = best
+    return max(error, 0.0), frozenset(subset), junta
+
+
+def _function(kind, n, rng):
+    if kind == "parity":
+        size = int(rng.integers(1, n + 1))
+        return BooleanFunction.parity(n, rng.choice(np.arange(1, n + 1), size, replace=False))
+    if kind == "random":
+        table = rng.integers(0, 2, size=1 << n)
+    elif kind == "few_ones":
+        table = np.zeros(1 << n, dtype=np.int64)
+        table[rng.integers(0, 1 << n, size=int(rng.integers(1, 4)))] = 1
+    else:  # sparse random
+        table = (rng.random(1 << n) < 0.05).astype(np.int64)
+    return BooleanFunction(n, table)
+
+
+def _distribution(kind, n, rng):
+    if kind == "uniform":
+        return Distribution.uniform(n)
+    if kind == "dense":
+        return Distribution.dense(n, rng.random(1 << n))
+    if kind == "sparse":
+        size = int(rng.integers(1, (1 << n) + 1))
+        support = rng.choice(1 << n, size=size, replace=False)
+        return Distribution(n, support, rng.random(size) + 1e-3)
+    return Distribution.point_mass(BitString(n, int(rng.integers(0, 1 << n))))
+
+
+@st.composite
+def certificate_cases(draw):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = _function(draw(st.sampled_from(["random", "parity", "few_ones", "sparse"])), n, rng)
+    dist = _distribution(draw(st.sampled_from(["uniform", "dense", "sparse", "point"])), n, rng)
+    return f, dist, k
 
 
 class TestMakeDistribution:
@@ -140,6 +191,22 @@ class TestDistanceToKJunta:
             cert.best_junta.table[d.support] == f.table[d.support]
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_cases())
+    def test_matches_full_table_reference(self, case):
+        f, dist, k = case
+        cert = distance_to_k_junta(f, dist, k)
+        distance, subset, junta = reference_certificate(f, dist, k)
+        assert cert.distance == distance
+        assert cert.best_subset == subset
+        assert np.array_equal(cert.best_junta.table, junta.table)
+
+    def test_ties_pick_lexicographically_first_subset(self):
+        f = BooleanFunction.parity(6, [2, 4, 6])
+        cert = distance_to_k_junta(f, Distribution.uniform(6), 2)
+        assert cert.best_subset == frozenset({1, 2})
+        assert cert.distance == 0.5
+
     def test_work_cap(self):
         f = BooleanFunction.constant(4, 0)
         with pytest.raises(WorkCapExceededError):
@@ -162,3 +229,27 @@ class TestDistributionJson:
     def test_bad_document(self):
         with pytest.raises(ValueError):
             Distribution.from_json({"n": 2})
+
+    def test_duplicate_support_point_rejected(self):
+        doc = {"n": 2, "support": [{"x": "10", "w": 1.0}, {"x": "10", "w": 3.0}]}
+        with pytest.raises(ValueError, match="duplicate"):
+            Distribution.from_json(doc)
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_distribution(2, [1.0, bad, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            make_distribution(2, {"01": bad})
+
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            with np.errstate(over="ignore"):
+                make_distribution(1, [1e308, 1e308])
+
+    @pytest.mark.parametrize("key", ["1111", "111111111", BitString(4, 15)])
+    def test_sparse_key_of_wrong_length_rejected(self, key):
+        with pytest.raises(ValueError, match="8 bits"):
+            Distribution.sparse(8, {key: 1.0})

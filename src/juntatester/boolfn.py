@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import base64
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -21,8 +20,6 @@ import numpy as np
 N_MAX = 24
 M_MAX = 24
 TOL_NORM = 1e-9
-
-IndexSet = frozenset  # subsets of {1, ..., n}
 
 
 class DimensionMismatchError(ValueError):
@@ -41,6 +38,18 @@ def index_mask(members: Iterable[int], n: int) -> int:
             raise IndexError(f"variable index {i} out of range 1..{n}")
         mask |= 1 << (i - 1)
     return mask
+
+
+def class_indices(n: int, variables: Sequence[int]) -> np.ndarray:
+    """Each point's class index: bit j is the point's value of ``variables[j]``."""
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
+    index_mask(variables, n)  # range check
+    points = np.arange(1 << n, dtype=np.int64)
+    proj = np.zeros(1 << n, dtype=np.int64)
+    for j, v in enumerate(variables):
+        proj |= (points >> (v - 1) & 1) << j
+    return proj
 
 
 def mask_indices(mask: int) -> frozenset[int]:
@@ -112,10 +121,6 @@ class Cube:
         """I(B): the variables where the two corners disagree."""
         return mask_indices(self.x.value ^ self.y.value)
 
-    @property
-    def disagreement_mask(self) -> int:
-        return self.x.value ^ self.y.value
-
     def dimension(self) -> int:
         return (self.x.value ^ self.y.value).bit_count()
 
@@ -124,20 +129,27 @@ def _pack_table(table: np.ndarray) -> bytes:
     return np.packbits(table, bitorder="little").tobytes()
 
 
-def _unpack_table(data: bytes, size: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if bits.size < size:
-        raise ValueError("table data too short")
-    return bits[:size].astype(np.uint8)
-
-
 def _parse_bit_field(value: str, size: int) -> np.ndarray:
-    """Accepts '0x…' hex, a raw 0/1 string of the right length, or base64."""
-    if value.startswith("0x") or value.startswith("0X"):
-        return _unpack_table(bytes.fromhex(value[2:]), size)
-    if len(value) == size and set(value) <= {"0", "1"}:
+    """A raw 0/1 string of exactly `size` characters, or '0x…' hex or base64
+    of exactly ceil(size/8) little-endian packed bytes.
+
+    No valid base64 table is made only of 0s and 1s: unpadded base64 holds a
+    multiple of 3 bytes, and ceil(2^m/8) never is one.
+    """
+    if not isinstance(value, str):
+        raise ValueError(f"bit field must be a string, got {type(value).__name__}")
+    if value[:2] in ("0x", "0X"):
+        data = bytes.fromhex(value[2:])
+    elif set(value) <= {"0", "1"}:
+        if len(value) != size:
+            raise ValueError(f"bit string has {len(value)} characters, expected {size}")
         return np.array([int(c) for c in value], dtype=np.uint8)
-    return _unpack_table(base64.b64decode(value), size)
+    else:
+        data = base64.b64decode(value, validate=True)
+    if len(data) != (size + 7) // 8:
+        raise ValueError(f"table data has {len(data)} bytes, expected {(size + 7) // 8}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    return bits[:size].astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -187,14 +199,10 @@ class BooleanFunction:
     ) -> "BooleanFunction":
         """Dense function that reads only `variables`, via `inner_table`."""
         vars_ = tuple(sorted(variables))
-        index_mask(vars_, n)  # range check
+        proj = class_indices(n, vars_)
         inner = np.asarray(inner_table, dtype=np.uint8)
         if inner.shape != (1 << len(vars_),):
             raise ValueError("inner table size does not match the variable set")
-        points = np.arange(1 << n, dtype=np.int64)
-        proj = np.zeros(1 << n, dtype=np.int64)
-        for j, v in enumerate(vars_):
-            proj |= (points >> (v - 1) & 1) << j
         return cls(n, inner[proj], junta_vars=vars_, junta_inner=inner)
 
     @classmethod
@@ -218,9 +226,6 @@ class BooleanFunction:
         if x.n != self.n:
             raise DimensionMismatchError(f"point dimension {x.n} != {self.n}")
         return int(self.table[x.value])
-
-    def value_at(self, index: int) -> int:
-        return int(self.table[index])
 
     # -- structure -----------------------------------------------------
 
@@ -273,7 +278,7 @@ class BooleanFunction:
         return f
 
 
-def cube_point_indices(f_n: int, cube: Cube) -> tuple[tuple[int, ...], np.ndarray]:
+def cube_point_indices(cube: Cube) -> tuple[tuple[int, ...], np.ndarray]:
     """All 2^m point indices of the cube, in subset-mask order over sorted I(B).
 
     Entry ``t`` of the returned array is ``x^T`` where bit j of ``t`` selects
@@ -291,7 +296,7 @@ def cube_point_indices(f_n: int, cube: Cube) -> tuple[tuple[int, ...], np.ndarra
 
 def cube_points(cube: Cube) -> list[BitString]:
     """All 2^{|I(B)|} points of the cube as bit strings."""
-    _, idx = cube_point_indices(cube.n, cube)
+    _, idx = cube_point_indices(cube)
     return [BitString(cube.n, int(v)) for v in idx]
 
 
@@ -341,9 +346,6 @@ class RestrictedSpectrum:
     def squared(self) -> np.ndarray:
         return self.coefficients ** 2
 
-    def subsets(self) -> list[frozenset[int]]:
-        return [self.subset_for_mask(m) for m in range(self.coefficients.size)]
-
 
 def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     """Exact Walsh-Hadamard spectrum of f restricted to the cube.
@@ -353,16 +355,8 @@ def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     """
     if cube.n != f.n:
         raise DimensionMismatchError(f"cube dimension {cube.n} != {f.n}")
-    positions, idx = cube_point_indices(f.n, cube)
+    positions, idx = cube_point_indices(cube)
     signs = 1.0 - 2.0 * f.table[idx].astype(np.float64)
     coeffs = walsh_hadamard(signs) / signs.size
     return RestrictedSpectrum(base_cube=cube, positions=positions, coefficients=coeffs)
 
-
-def all_subsets(members: Iterable[int]) -> list[frozenset[int]]:
-    members = sorted(members)
-    return [
-        frozenset(c)
-        for r in range(len(members) + 1)
-        for c in itertools.combinations(members, r)
-    ]

@@ -14,8 +14,10 @@ import sys
 from .boolfn import BitString, BooleanFunction, Cube, CubeTooLargeError, restricted_spectrum
 from .distribution import Distribution, WorkCapExceededError, distance_to_k_junta
 from .harness import (
+    FAR_FAMILIES,
     ExperimentConfig,
     FixtureError,
+    check_dimensions,
     derive_rng,
     gen_far_fixture,
     gen_random_junta,
@@ -48,7 +50,7 @@ def _load_json(path: str) -> dict:
 def _load_function(path: str) -> BooleanFunction:
     try:
         return BooleanFunction.from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (LookupError, ValueError, TypeError) as exc:
         raise CliError(f"invalid function file {path}: {exc}") from exc
 
 
@@ -141,6 +143,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    try:
+        check_dimensions(args.n, args.k)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if args.support_size < 0:
+        raise CliError("support size must be nonnegative")
     rng = derive_rng(args.seed, 0)
     certificate = None
     if args.kind == "junta":
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate fixture files")
     p.add_argument(
         "--kind",
-        choices=["junta", "parity", "random_function", "planted"],
+        choices=["junta", *FAR_FAMILIES],
         required=True,
     )
     p.add_argument("--n", type=int, required=True)

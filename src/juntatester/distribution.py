@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX
+from .boolfn import BitString, BooleanFunction, N_MAX, class_indices
 
 WORK_CAP = 10**9
 _NORM_TOL = 1e-9
@@ -161,14 +161,6 @@ class DistanceCertificate:
         }
 
 
-def _class_indices(n: int, variables: tuple[int, ...]) -> np.ndarray:
-    points = np.arange(1 << n, dtype=np.int64)
-    proj = np.zeros(1 << n, dtype=np.int64)
-    for j, v in enumerate(variables):
-        proj |= (points >> (v - 1) & 1) << j
-    return proj
-
-
 def best_junta_on(
     f: BooleanFunction, dist: Distribution, variables: Iterable[int]
 ) -> tuple[BooleanFunction, float]:
@@ -179,7 +171,7 @@ def best_junta_on(
     if dist.n != f.n:
         raise ValueError(f"distribution dimension {dist.n} != {f.n}")
     vars_ = tuple(sorted(set(variables)))
-    proj = _class_indices(f.n, vars_)
+    proj = class_indices(f.n, vars_)
     w = dist.dense_weights()
     classes = 1 << len(vars_)
     # cost of answering 0 (resp. 1) in each class
@@ -198,8 +190,8 @@ def _subset_errors(
     A depth-first walk over variables 1..n on the stacked per-point costs
     (w*f, w*(1-f)), held as shape (2, rest, cells). Keeping variable v
     reshapes it into the next bit of the cell index, so bit j is the j-th
-    kept variable as in `_class_indices`; dropping v sums it out. Keep is
-    tried before drop, and every subset reuses its parent's marginals.
+    kept variable as in `boolfn.class_indices`; dropping v sums it out. Keep
+    is tried before drop, and every subset reuses its parent's marginals.
     """
     n = f.n
     w = dist.dense_weights()

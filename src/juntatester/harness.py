@@ -13,17 +13,35 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BooleanFunction, N_MAX
+from .boolfn import BitString, BooleanFunction, N_MAX
 from .distribution import DistanceCertificate, Distribution, distance_to_k_junta
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
 from .tester import Decision, Variant, run_tester
 
 RANDOM_FUNCTION_RETRIES = 100
 WILSON_Z_99 = 2.576
+FAR_FAMILIES = ("parity", "random_function", "planted")
+JUNTA_DISTS = ("uniform", "sparse", "point_mass")
 
 
 class FixtureError(RuntimeError):
     """Fixture generation could not certify the requested distance."""
+
+
+def check_dimensions(n: int, k: int) -> None:
+    """The experiment rule 1 <= k < n <= N_MAX, checked before anything is built."""
+    if not 1 <= k < n <= N_MAX:
+        raise ValueError(f"need 1 <= k < n <= {N_MAX}; got k={k}, n={n}")
+
+
+def _integral(doc: Mapping, key: str) -> int:
+    """doc[key] as an int; a bool or a number with a fractional part is refused."""
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def derive_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -149,23 +167,31 @@ class ExperimentConfig:
     fixture: Mapping = field(default_factory=lambda: {"kind": "junta"})
 
     def __post_init__(self):
-        if not 1 <= self.k < self.n <= N_MAX:
-            raise ValueError(f"need 1 <= k < n <= {N_MAX}; got k={self.k}, n={self.n}")
+        check_dimensions(self.n, self.k)
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         object.__setattr__(self, "variant", Variant(self.variant))
-        object.__setattr__(self, "fixture", dict(self.fixture))
+        spec = dict(self.fixture)
+        kind = spec.get("kind", "junta")
+        if kind not in ("junta", "far"):
+            raise ValueError(f"unknown fixture kind: {kind}")
+        key, known = ("dist", JUNTA_DISTS) if kind == "junta" else ("family", FAR_FAMILIES)
+        if spec.get(key, known[0]) not in known:
+            raise ValueError(f"unknown fixture {key}: {spec[key]}")
+        if "support_size" in spec and _integral(spec, "support_size") < 1:
+            raise ValueError("support_size must be positive")
+        object.__setattr__(self, "fixture", spec)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
         return cls(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
+            n=_integral(doc, "n"),
+            k=_integral(doc, "k"),
             eps=float(doc["eps"]),
-            trials=int(doc["trials"]),
-            master_seed=int(doc["master_seed"]),
+            trials=_integral(doc, "trials"),
+            master_seed=_integral(doc, "master_seed"),
             variant=Variant(doc.get("variant", "classical")),
             fixture=doc.get("fixture", {"kind": "junta"}),
         )
@@ -205,7 +231,10 @@ class TrialReport:
 def build_fixture(
     config: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[BooleanFunction, Distribution, Optional[DistanceCertificate]]:
-    """Materialize the configured fixture from the experiment's fixture stream."""
+    """Materialize the configured fixture from the experiment's fixture stream.
+
+    The config has already checked the fixture kind, dist and family.
+    """
     spec = dict(config.fixture)
     kind = spec.get("kind", "junta")
     if kind == "junta":
@@ -217,20 +246,12 @@ def build_fixture(
             dist = gen_sparse_distribution(
                 config.n, int(spec.get("support_size", 64)), rng
             )
-        elif dist_kind == "point_mass":
-            from .boolfn import BitString
-
+        else:  # point_mass
             dist = Distribution.point_mass(
                 BitString(config.n, int(rng.integers(0, 1 << config.n)))
             )
-        else:
-            raise ValueError(f"unknown distribution kind: {dist_kind}")
         return f, dist, None
-    if kind == "far":
-        family = spec.get("family", "parity")
-        f, dist, cert = gen_far_fixture(config.n, config.k, config.eps, rng, family)
-        return f, dist, cert
-    raise ValueError(f"unknown fixture kind: {kind}")
+    return gen_far_fixture(config.n, config.k, config.eps, rng, spec.get("family", "parity"))
 
 
 def _aggregate_ledgers(ledgers: list[QueryLedger]) -> dict:

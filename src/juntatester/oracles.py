@@ -48,10 +48,6 @@ class MembershipOracle:
         self.ledger.classical_queries += 1
         return int(self.function.table[x.value])
 
-    def query_index(self, index: int) -> int:
-        self.ledger.classical_queries += 1
-        return int(self.function.table[index])
-
     def note_classical(self, amount: int) -> None:
         """Charge `amount` classical queries evaluated through a batched path."""
         if amount < 0:
@@ -75,10 +71,6 @@ class SampleOracle:
     def draw(self, rng: np.random.Generator) -> BitString:
         self.ledger.classical_samples += 1
         return BitString(self.distribution.n, self.distribution.sample_index(rng))
-
-    def draw_index(self, rng: np.random.Generator) -> int:
-        self.ledger.classical_samples += 1
-        return self.distribution.sample_index(rng)
 
     def note_samples(self, amount: int) -> None:
         """Charge `amount` draws taken through a batched path."""

@@ -18,20 +18,15 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import Cube, BitString, BooleanFunction, index_mask, restricted_spectrum
+from .boolfn import (
+    BitString, BooleanFunction, Cube, class_indices, index_mask, restricted_spectrum
+)
 from .distribution import Distribution
 from .oracles import MembershipOracle, SampleOracle
 
 
 class DegenerateCubeError(ValueError):
     pass
-
-
-def _squared_distribution(f: BooleanFunction, cube: Cube):
-    spectrum = restricted_spectrum(f, cube)
-    probs = spectrum.squared()
-    probs = probs / probs.sum()  # shed float drift; exact mass is 1
-    return spectrum, probs
 
 
 def fourier_sample(
@@ -42,13 +37,7 @@ def fourier_sample(
     T is drawn with probability exactly equal to the squared restricted
     coefficient; the ledger is charged one quantum query.
     """
-    if cube.dimension() == 0:
-        raise DegenerateCubeError("cannot Fourier-sample a single-point cube")
-    spectrum, probs = _squared_distribution(oracle.function, cube)
-    oracle.charge_quantum(1)
-    mask = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    mask = min(mask, probs.size - 1)
-    return spectrum.subset_for_mask(mask)
+    return fourier_sample_many(oracle, cube, rng, 1)[0]
 
 
 def fourier_sample_many(
@@ -56,16 +45,16 @@ def fourier_sample_many(
 ) -> list[frozenset[int]]:
     """`count` independent Fourier samples, charged as `count` quantum queries.
 
-    Equivalent to `count` calls of :func:`fourier_sample`; the spectrum is
-    computed once, which only matters for simulation speed.
+    The spectrum is computed once, which only matters for simulation speed.
     """
     if cube.dimension() == 0:
         raise DegenerateCubeError("cannot Fourier-sample a single-point cube")
     if count < 1:
         raise ValueError("count must be positive")
-    spectrum, probs = _squared_distribution(oracle.function, cube)
+    spectrum = restricted_spectrum(oracle.function, cube)
+    probs = spectrum.squared()
+    cum = np.cumsum(probs / probs.sum())  # shed float drift; exact mass is 1
     oracle.charge_quantum(count)
-    cum = np.cumsum(probs)
     masks = np.minimum(
         np.searchsorted(cum, rng.random(count), side="right"), probs.size - 1
     )
@@ -85,17 +74,36 @@ def attempt_success_probability(
     if dist.n != n:
         raise ValueError(f"distribution dimension {dist.n} != {n}")
     vars_ = tuple(sorted(fixed))
-    index_mask(vars_, n)  # range check
-    points = np.arange(1 << n, dtype=np.int64)
-    proj = np.zeros(1 << n, dtype=np.int64)
-    for j, v in enumerate(vars_):
-        proj |= (points >> (v - 1) & 1) << j
+    proj = class_indices(n, vars_)
     classes = 1 << len(vars_)
     table = f.table.astype(np.float64)
     mean = np.bincount(proj, weights=table, minlength=classes) / (1 << (n - len(vars_)))
     fx = table[dist.support]
     mu = mean[proj[dist.support]]
     return float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
+
+
+def first_relevant_attempt(
+    f: BooleanFunction, dist: Distribution, fixed: frozenset[int], count: int,
+    rng: np.random.Generator,
+) -> Optional[tuple[int, Cube]]:
+    """Draw `count` attempts (x ~ D, T ⊆ [n]\\S) for S = `fixed` in one batch.
+
+    Returns the 1-based number of the first attempt with f(x) != f(x^T) and
+    its cube (x, x^T), or None when no attempt hits. The batch takes the x
+    draws before the T draws, which is equivalent to drawing attempt by
+    attempt. Nothing is charged.
+    """
+    n = f.n
+    free_mask = ((1 << n) - 1) & ~index_mask(fixed, n)
+    xs = dist.sample_indices(rng, count)
+    tmasks = rng.integers(0, 1 << n, size=count, dtype=np.int64) & free_mask
+    hits = np.nonzero(f.table[xs] != f.table[xs ^ tmasks])[0]
+    if not hits.size:
+        return None
+    j = int(hits[0])
+    x = int(xs[j])
+    return j + 1, Cube(BitString(n, x), BitString(n, x ^ int(tmasks[j])))
 
 
 def amplification_schedule(eps: float) -> tuple[list[int], int]:
@@ -136,26 +144,16 @@ def amplified_generate_cube(
     successful attempts; the rejection draws used to realize that conditional
     are simulation bookkeeping and are not charged.
     """
-    n = oracle.function.n
     stages, _ = amplification_schedule(eps)
     p = attempt_success_probability(oracle.function, samples.distribution, fixed)
-    succeeded = False
     for r in stages:
         oracle.charge_quantum(r)
         if rng.random() < stage_success_probability(r, p):
-            succeeded = True
             break
-    if not succeeded:
+    else:
         return None
     # Conditional draw of a successful attempt (uncharged bookkeeping).
-    free_mask = ((1 << n) - 1) & ~index_mask(fixed, n)
-    table = oracle.function.table
-    dist = samples.distribution
     while True:
-        xs = dist.sample_indices(rng, 256)
-        tmasks = rng.integers(0, 1 << n, size=256, dtype=np.int64) & free_mask
-        hits = np.nonzero(table[xs] != table[xs ^ tmasks])[0]
-        if hits.size:
-            j = int(hits[0])
-            x = BitString(n, int(xs[j]))
-            return Cube(x, BitString(n, int(xs[j] ^ tmasks[j])))
+        hit = first_relevant_attempt(oracle.function, samples.distribution, fixed, 256, rng)
+        if hit is not None:
+            return hit[1]

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, Cube, index_mask
+from .boolfn import BitString, BooleanFunction, Cube
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .quantum import amplified_generate_cube, fourier_sample
+from .quantum import amplified_generate_cube, first_relevant_attempt, fourier_sample
 
 ITERATION_FACTOR = 18
 
@@ -111,26 +111,16 @@ def generate_cube(
 
     Returns the first cube (x, x^T) with f(x) != f(x^T), charging one sample
     and two queries per attempt made. The attempt randomness is drawn in one
-    batch, which is equivalent to drawing it attempt by attempt.
+    batch by `first_relevant_attempt`.
     """
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    n = oracle.function.n
     attempts = ceil(2 / eps)
-    free_mask = ((1 << n) - 1) & ~index_mask(fixed, n)
-    xs = samples.distribution.sample_indices(rng, attempts)
-    tmasks = rng.integers(0, 1 << n, size=attempts, dtype=np.int64) & free_mask
-    table = oracle.function.table
-    hits = np.nonzero(table[xs] != table[xs ^ tmasks])[0]
-    if hits.size:
-        made = int(hits[0]) + 1
-        samples.note_samples(made)
-        oracle.note_classical(2 * made)
-        x = int(xs[hits[0]])
-        return Cube(BitString(n, x), BitString(n, x ^ int(tmasks[hits[0]])))
-    samples.note_samples(attempts)
-    oracle.note_classical(2 * attempts)
-    return None
+    hit = first_relevant_attempt(oracle.function, samples.distribution, fixed, attempts, rng)
+    made = attempts if hit is None else hit[0]
+    samples.note_samples(made)
+    oracle.note_classical(2 * made)
+    return None if hit is None else hit[1]
 
 
 def _record(state: TesterState, action: TraceAction, **changes) -> TesterState:

@@ -12,7 +12,7 @@ from juntatester.boolfn import (
     CubeTooLargeError,
     DimensionMismatchError,
     TOL_NORM,
-    all_subsets,
+    class_indices,
     cube_points,
     restricted_spectrum,
     walsh_hadamard,
@@ -169,8 +169,9 @@ class TestRestrictedSpectrum:
         B = Cube(BitString.from_str("000"), BitString.from_str("110"))
         sp = restricted_spectrum(f, B)
         assert sp.coefficient([]) ** 2 == pytest.approx(1.0)
-        for subset in all_subsets(B.disagreement):
-            if subset:
+        members = sorted(B.disagreement)
+        for r in range(1, len(members) + 1):
+            for subset in itertools.combinations(members, r):
                 assert abs(sp.coefficient(subset)) < TOL_NORM
 
     def test_parity_single_character(self):
@@ -249,14 +250,14 @@ class TestRestrictedSpectrum:
         # shrink the cap via monkeypatching is invasive; check the guard directly
         from juntatester import boolfn
 
-        positions, _ = boolfn.cube_point_indices(2, B)
+        positions, _ = boolfn.cube_point_indices(B)
         assert len(positions) <= boolfn.M_MAX
         with pytest.raises(CubeTooLargeError):
             # fabricate an oversized disagreement set by lowering the cap
             original = boolfn.M_MAX
             boolfn.M_MAX = 1
             try:
-                boolfn.cube_point_indices(2, B)
+                boolfn.cube_point_indices(B)
             finally:
                 boolfn.M_MAX = original
 
@@ -308,4 +309,41 @@ class TestFunctionJson:
         doc = f.to_json()
         g = BooleanFunction.from_json({"n": 3, "table": doc["table"]})
         for v in range(8):
-            assert g.value_at(v) == (v >> 1) & 1
+            assert g.table[v] == (v >> 1) & 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 4, "table": "10010110"},  # 8 bits for a 16-entry table
+            {"n": 3, "table": "100101101"},
+            {"n": 3, "table": ""},
+            {"n": 3, "table": "0x96ff"},  # an extra byte
+            {"n": 4, "table": "0x96"},  # a byte short
+            {"n": 3, "table": "0xzz"},
+            {"n": 3, "table": "lv8="},  # base64 of two bytes
+            {"n": 3, "table": "l*=="},
+            {"n": 3, "table": 150},
+            {"n": 3, "table": "0x96", "junta": {"vars": [1, 2, 3], "inner_table": "1001011"}},
+            {"n": 3, "table": "0x96", "junta": {"vars": [1, 2, 3], "inner_table": "0x9600"}},
+        ],
+    )
+    def test_rejects_malformed_tables(self, doc):
+        with pytest.raises(ValueError):
+            BooleanFunction.from_json(doc)
+
+    def test_hex_and_base64_of_exact_length(self):
+        for table in ("0x96", "0X96", "lg==", "01101001"):  # 0x96, low bit first
+            g = BooleanFunction.from_json({"n": 3, "table": table})
+            assert g.table.tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+
+
+class TestClassIndices:
+    def test_bit_j_is_the_jth_variable(self):
+        proj = class_indices(4, (3, 1))
+        for x in range(16):
+            assert proj[x] == ((x >> 2) & 1) | ((x & 1) << 1)
+
+    @pytest.mark.parametrize("n, variables", [(0, ()), (25, (1,)), (4, (5,)), (4, (0,))])
+    def test_rejects_out_of_range(self, n, variables):
+        with pytest.raises((ValueError, IndexError)):
+            class_indices(n, variables)

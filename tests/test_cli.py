@@ -161,6 +161,26 @@ class TestDistanceCommand:
         assert "bad_dist.json" in err
 
 
+class TestMalformedFunction:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 4, "table": "10010110"},
+            {"n": 3, "table": "0x96ff"},
+            {"n": 3, "table": "0x96", "junta": {"vars": [1, 2, 3], "inner_table": "0x9600"}},
+            {"n": 3, "table": "0x96", "junta": {"vars": [1, 2, 9], "inner_table": "10010110"}},
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, doc):
+        fpath = tmp_path / "bad_f.json"
+        fpath.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "spectrum", "--function", str(fpath), "--cube-x", "000", "--cube-y", "111"
+        )
+        assert (code, out) == (2, "")
+        assert "bad_f.json" in err
+
+
 class TestSpectrumCommand:
     def test_constant(self, capsys, tmp_path):
         fpath = tmp_path / "c.json"
@@ -285,3 +305,34 @@ class TestGenCommand:
         )
         assert code == 0
         json.loads(out)  # a single parseable document
+
+
+GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["gen", "--kind", "junta", "--n", "8", "--k", "9"], None),
+        (["gen", "--kind", "parity", "--n", "8", "--k", "8"], None),
+        (["gen", "--kind", "junta", "--n", "25", "--k", "2"], None),
+        (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--support-size", "-1"], None),
+        (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "bogus"}}),
+        (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "junta", "dist": "bogus"}}),
+        (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "far", "family": "bogus"}}),
+        (["experiment"], {**GOOD_CONFIG, "n": 8.7, "trials": 3.9}),
+        (["experiment"], {**GOOD_CONFIG, "k": True}),
+    ],
+)
+def test_exit_code_matrix(capsys, tmp_path, argv, config):
+    """Bad gen dimensions and bad experiment configs exit 2 before anything is built."""
+    if config is None:
+        argv = argv + ["--seed", "1", "--out-function", str(tmp_path / "f.json"),
+                       "--out-dist", str(tmp_path / "d.json")]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not (tmp_path / "f.json").exists()

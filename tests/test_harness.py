@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from juntatester.boolfn import BooleanFunction
 from juntatester.distribution import distance_to_k_junta
 from juntatester.harness import (
     ExperimentConfig,
@@ -109,6 +112,34 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n=4, k=2, eps=0.5, trials=0, master_seed=1)
 
+    @pytest.mark.parametrize(
+        "fixture",
+        [{"kind": "bogus"}, {"kind": "junta", "dist": "bogus"}, {"kind": "far", "family": "bogus"},
+         {"kind": "junta", "dist": "sparse", "support_size": 0},
+         {"kind": "junta", "dist": "sparse", "support_size": 2.5}],
+    )
+    def test_unknown_fixture_rejected_on_construction(self, fixture):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=6, k=2, eps=0.25, trials=5, master_seed=1, fixture=fixture)
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 8.7), ("k", 2.5), ("trials", 3.9), ("master_seed", 1.5),
+                       ("k", True), ("trials", True), ("master_seed", False),
+                       ("master_seed", "9"), ("n", None)],
+    )
+    def test_from_json_refuses_non_integers(self, key, value):
+        doc = {"n": 8, "k": 2, "eps": 0.25, "trials": 5, "master_seed": 9}
+        doc[key] = value
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(doc)
+
+    def test_from_json_accepts_integral_floats(self):
+        config = ExperimentConfig.from_json(
+            {"n": 8.0, "k": 2, "eps": 0.25, "trials": 5.0, "master_seed": 9}
+        )
+        assert (config.n, config.trials) == (8, 5)
+        assert type(config.n) is int
+
     def test_from_json_defaults(self):
         config = ExperimentConfig.from_json(
             {"n": 6, "k": 2, "eps": 0.25, "trials": 5, "master_seed": 9}
@@ -191,6 +222,31 @@ class TestRunTrials:
         f2, d2, _ = build_fixture(config, derive_rng(config.master_seed, 0))
         assert np.array_equal(f1.table, f2.table)
         assert np.array_equal(d1.support, d2.support)
+
+
+class TestReportBytes:
+    """Pinned report bytes: a simulator change that alters RNG use or charges breaks them."""
+
+    @pytest.mark.parametrize(
+        "variant, fixture, digest",
+        [
+            ("classical", {"kind": "junta"},
+             "5cf0dbdf089d4c93082896399753d597df851b2082d4ac209bfe83986871d158"),
+            ("amplified", {"kind": "far", "family": "planted"},
+             "ed8b40c42156e5e5cfae0915a7e209a355170f44bd7206ca6873ff67b27371dd"),
+        ],
+    )
+    def test_run_trials_bytes_are_pinned(self, variant, fixture, digest):
+        config = ExperimentConfig(
+            n=12, k=3, eps=0.25, trials=60, master_seed=2024, variant=variant, fixture=fixture
+        )
+        report = run_trials(config).to_json_str()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_oversized_junta_is_refused_before_allocation():
+    with pytest.raises(ValueError):
+        BooleanFunction.from_junta(25, [1], [0, 1])
 
 
 class TestDeriveRng:

@@ -5,7 +5,6 @@ from .boolfn import (
     BooleanFunction,
     Cube,
     RestrictedSpectrum,
-    cube_points,
     restricted_spectrum,
     walsh_hadamard,
 )
@@ -14,7 +13,6 @@ from .distribution import (
     Distribution,
     best_junta_on,
     distance_to_k_junta,
-    make_distribution,
 )
 from .harness import (
     ExperimentConfig,
@@ -43,14 +41,12 @@ __all__ = [
     "BooleanFunction",
     "Cube",
     "RestrictedSpectrum",
-    "cube_points",
     "restricted_spectrum",
     "walsh_hadamard",
     "DistanceCertificate",
     "Distribution",
     "best_junta_on",
     "distance_to_k_junta",
-    "make_distribution",
     "ExperimentConfig",
     "TrialReport",
     "gen_far_fixture",

@@ -19,7 +19,6 @@ import numpy as np
 
 N_MAX = 24
 M_MAX = 24
-TOL_NORM = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -28,6 +27,23 @@ class DimensionMismatchError(ValueError):
 
 class CubeTooLargeError(ValueError):
     pass
+
+
+def _number(value, name: str) -> int | float:
+    """A JSON number field as read; a bool, a string or any other type is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _integral(value, name: str) -> int:
+    """A JSON number field as an int; a fractional or non-finite value is refused."""
+    value = _number(value, name)
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return value
 
 
 def index_mask(members: Iterable[int], n: int) -> int:
@@ -85,15 +101,6 @@ class BitString:
 
     def to_str(self) -> str:
         return "".join("1" if self.value >> i & 1 else "0" for i in range(self.n))
-
-    def bit(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"variable index {i} out of range 1..{self.n}")
-        return self.value >> (i - 1) & 1
-
-    def flip(self, members: Iterable[int]) -> "BitString":
-        """The point with the variables in `members` flipped (x^T)."""
-        return BitString(self.n, self.value ^ index_mask(members, self.n))
 
     def __str__(self) -> str:
         return self.to_str()
@@ -190,10 +197,6 @@ class BooleanFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_table(cls, n: int, values: Sequence[int]) -> "BooleanFunction":
-        return cls(n, np.asarray(values, dtype=np.uint8))
-
-    @classmethod
     def from_junta(
         cls, n: int, variables: Iterable[int], inner_table: Sequence[int]
     ) -> "BooleanFunction":
@@ -204,14 +207,6 @@ class BooleanFunction:
         if inner.shape != (1 << len(vars_),):
             raise ValueError("inner table size does not match the variable set")
         return cls(n, inner[proj], junta_vars=vars_, junta_inner=inner)
-
-    @classmethod
-    def constant(cls, n: int, value: int) -> "BooleanFunction":
-        return cls(n, np.full(1 << n, value, dtype=np.uint8))
-
-    @classmethod
-    def dictator(cls, n: int, i: int) -> "BooleanFunction":
-        return cls.from_junta(n, [i], [0, 1])
 
     @classmethod
     def parity(cls, n: int, variables: Iterable[int]) -> "BooleanFunction":
@@ -238,11 +233,6 @@ class BooleanFunction:
                 out.append(i)
         return frozenset(out)
 
-    def is_k_junta(self, k: int) -> bool:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        return len(self.relevant_variables()) <= k
-
     def check_junta_backing(self) -> bool:
         """Exhaustively verify the dense table against the inner table."""
         if self.junta_vars is None:
@@ -263,14 +253,14 @@ class BooleanFunction:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "BooleanFunction":
-        n = int(doc["n"])
+        n = _integral(doc["n"], "n")
         if not 1 <= n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         table = _parse_bit_field(doc["table"], 1 << n)
         junta = doc.get("junta")
         if junta is None:
             return cls(n, table)
-        vars_ = tuple(int(v) for v in junta["vars"])
+        vars_ = tuple(_integral(v, "junta variable") for v in junta["vars"])
         inner = _parse_bit_field(junta["inner_table"], 1 << len(vars_))
         f = cls(n, table, junta_vars=vars_, junta_inner=inner)
         if not f.check_junta_backing():
@@ -292,12 +282,6 @@ def cube_point_indices(cube: Cube) -> tuple[tuple[int, ...], np.ndarray]:
     for i in positions:
         idx = np.concatenate([idx, idx ^ (1 << (i - 1))])
     return positions, idx
-
-
-def cube_points(cube: Cube) -> list[BitString]:
-    """All 2^{|I(B)|} points of the cube as bit strings."""
-    _, idx = cube_point_indices(cube)
-    return [BitString(cube.n, int(v)) for v in idx]
 
 
 def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
@@ -326,22 +310,11 @@ class RestrictedSpectrum:
     ``positions`` (the sorted disagreement set).
     """
 
-    base_cube: Cube
     positions: tuple[int, ...]
     coefficients: np.ndarray = field(repr=False)
 
     def subset_for_mask(self, mask: int) -> frozenset[int]:
         return frozenset(self.positions[j] for j in range(len(self.positions)) if mask >> j & 1)
-
-    def coefficient(self, subset: Iterable[int]) -> float:
-        subset = frozenset(subset)
-        if not subset <= set(self.positions):
-            raise ValueError(f"{set(subset)} is not a subset of I(B)")
-        mask = 0
-        for j, i in enumerate(self.positions):
-            if i in subset:
-                mask |= 1 << j
-        return float(self.coefficients[mask])
 
     def squared(self) -> np.ndarray:
         return self.coefficients ** 2
@@ -358,5 +331,5 @@ def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     positions, idx = cube_point_indices(cube)
     signs = 1.0 - 2.0 * f.table[idx].astype(np.float64)
     coeffs = walsh_hadamard(signs) / signs.size
-    return RestrictedSpectrum(base_cube=cube, positions=positions, coefficients=coeffs)
+    return RestrictedSpectrum(positions=positions, coefficients=coeffs)
 

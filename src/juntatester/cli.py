@@ -17,11 +17,8 @@ from .harness import (
     FAR_FAMILIES,
     ExperimentConfig,
     FixtureError,
-    check_dimensions,
+    build_fixture,
     derive_rng,
-    gen_far_fixture,
-    gen_random_junta,
-    gen_sparse_distribution,
     run_trials,
 )
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
@@ -47,18 +44,21 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_function(path: str) -> BooleanFunction:
+def _load(kind, path: str):
+    """A function or distribution file read through `kind.from_json`."""
     try:
-        return BooleanFunction.from_json(_load_json(path))
+        return kind.from_json(_load_json(path))
     except (LookupError, ValueError, TypeError) as exc:
-        raise CliError(f"invalid function file {path}: {exc}") from exc
+        label = "function" if kind is BooleanFunction else "distribution"
+        raise CliError(f"invalid {label} file {path}: {exc}") from exc
 
 
-def _load_distribution(path: str) -> Distribution:
-    try:
-        return Distribution.from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"invalid distribution file {path}: {exc}") from exc
+def _load_pair(args) -> tuple[BooleanFunction, Distribution]:
+    f = _load(BooleanFunction, args.function)
+    dist = _load(Distribution, args.dist)
+    if f.n != dist.n:
+        raise CliError(f"dimension mismatch: function n={f.n}, distribution n={dist.n}")
+    return f, dist
 
 
 def _emit(doc: dict) -> None:
@@ -67,10 +67,7 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    f = _load_function(args.function)
-    dist = _load_distribution(args.dist)
-    if f.n != dist.n:
-        raise CliError(f"dimension mismatch: function n={f.n}, distribution n={dist.n}")
+    f, dist = _load_pair(args)
     ledger = QueryLedger()
     try:
         verdict = run_tester(
@@ -103,10 +100,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    f = _load_function(args.function)
-    dist = _load_distribution(args.dist)
-    if f.n != dist.n:
-        raise CliError(f"dimension mismatch: function n={f.n}, distribution n={dist.n}")
+    f, dist = _load_pair(args)
     if args.k < 0:
         raise CliError("k must be nonnegative")
     try:
@@ -118,7 +112,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    f = _load_function(args.function)
+    f = _load(BooleanFunction, args.function)
     try:
         cube = Cube(BitString.from_str(args.cube_x), BitString.from_str(args.cube_y))
     except ValueError as exc:
@@ -143,29 +137,24 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "junta":
+        fixture = {"kind": "junta"}
+        if args.support_size:
+            fixture.update(dist="sparse", support_size=args.support_size)
+    else:
+        fixture = {"kind": "far", "family": args.kind}
     try:
-        check_dimensions(args.n, args.k)
+        config = ExperimentConfig(
+            args.n, args.k, args.eps, trials=1, master_seed=args.seed, fixture=fixture
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if args.support_size < 0:
-        raise CliError("support size must be nonnegative")
-    rng = derive_rng(args.seed, 0)
-    certificate = None
-    if args.kind == "junta":
-        f = gen_random_junta(args.n, args.k, rng)
-        if args.support_size:
-            dist = gen_sparse_distribution(args.n, args.support_size, rng)
-        else:
-            dist = Distribution.uniform(args.n)
-    else:
-        try:
-            f, dist, certificate = gen_far_fixture(
-                args.n, args.k, args.eps, rng, family=args.kind
-            )
-        except FixtureError as exc:
-            raise CliError(str(exc), EXIT_CERTIFICATION) from exc
-        except WorkCapExceededError as exc:
-            raise CliError(str(exc), EXIT_RESOURCE) from exc
+    try:
+        f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
+    except FixtureError as exc:
+        raise CliError(str(exc), EXIT_CERTIFICATION) from exc
+    except WorkCapExceededError as exc:
+        raise CliError(str(exc), EXIT_RESOURCE) from exc
     with open(args.out_function, "w") as fh:
         json.dump(f.to_json(), fh, sort_keys=True)
     with open(args.out_dist, "w") as fh:

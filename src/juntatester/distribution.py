@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX, class_indices
+from .boolfn import BitString, BooleanFunction, N_MAX, _integral, _number, class_indices
 
 WORK_CAP = 10**9
 _NORM_TOL = 1e-9
@@ -91,20 +91,10 @@ class Distribution:
 
     # -- queries --------------------------------------------------------
 
-    def prob(self, x: BitString) -> float:
-        if x.n != self.n:
-            raise ValueError(f"point dimension {x.n} != {self.n}")
-        hits = np.nonzero(self.support == x.value)[0]
-        return float(self.probs[hits[0]]) if hits.size else 0.0
-
     def dense_weights(self) -> np.ndarray:
         w = np.zeros(1 << self.n, dtype=np.float64)
         w[self.support] = self.probs
         return w
-
-    def sample_index(self, rng: np.random.Generator) -> int:
-        pos = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return int(self.support[min(pos, self.support.size - 1)])
 
     def sample_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
         pos = np.searchsorted(self._cum, rng.random(count), side="right")
@@ -125,24 +115,22 @@ class Distribution:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Distribution":
-        n = int(doc["n"])
+        n = _integral(doc["n"], "n")
+        if not 1 <= n <= N_MAX:
+            raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         if "dense" in doc:
-            return cls.dense(n, doc["dense"])
+            return cls.dense(n, [_number(w, "weight") for w in doc["dense"]])
         if "support" in doc:
             weights = {}
             for entry in doc["support"]:
-                if entry["x"] in weights:
-                    raise ValueError(f"duplicate support point {entry['x']!r}")
-                weights[entry["x"]] = float(entry["w"])
+                x = entry["x"]
+                if not isinstance(x, str):  # a point index
+                    x = _integral(x, "support point")
+                if x in weights:
+                    raise ValueError(f"duplicate support point {x!r}")
+                weights[x] = _number(entry["w"], "weight")
             return cls.sparse(n, weights)
         raise ValueError("distribution document needs 'dense' or 'support'")
-
-
-def make_distribution(n: int, weights) -> Distribution:
-    """Normalized distribution from raw nonnegative weights (dense or sparse)."""
-    if isinstance(weights, Mapping):
-        return Distribution.sparse(n, weights)
-    return Distribution.dense(n, weights)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX
+from .boolfn import BitString, BooleanFunction, N_MAX, _integral, _number
 from .distribution import DistanceCertificate, Distribution, distance_to_k_junta
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
 from .tester import Decision, Variant, run_tester
@@ -26,22 +26,6 @@ JUNTA_DISTS = ("uniform", "sparse", "point_mass")
 
 class FixtureError(RuntimeError):
     """Fixture generation could not certify the requested distance."""
-
-
-def check_dimensions(n: int, k: int) -> None:
-    """The experiment rule 1 <= k < n <= N_MAX, checked before anything is built."""
-    if not 1 <= k < n <= N_MAX:
-        raise ValueError(f"need 1 <= k < n <= {N_MAX}; got k={k}, n={n}")
-
-
-def _integral(doc: Mapping, key: str) -> int:
-    """doc[key] as an int; a bool or a number with a fractional part is refused."""
-    value = doc[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def derive_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -167,11 +151,15 @@ class ExperimentConfig:
     fixture: Mapping = field(default_factory=lambda: {"kind": "junta"})
 
     def __post_init__(self):
-        check_dimensions(self.n, self.k)
+        # checked before anything is built, so a bad size never allocates
+        if not 1 <= self.k < self.n <= N_MAX:
+            raise ValueError(f"need 1 <= k < n <= {N_MAX}; got k={self.k}, n={self.n}")
         if not 0 < self.eps <= 1:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "variant", Variant(self.variant))
         spec = dict(self.fixture)
         kind = spec.get("kind", "junta")
@@ -180,18 +168,18 @@ class ExperimentConfig:
         key, known = ("dist", JUNTA_DISTS) if kind == "junta" else ("family", FAR_FAMILIES)
         if spec.get(key, known[0]) not in known:
             raise ValueError(f"unknown fixture {key}: {spec[key]}")
-        if "support_size" in spec and _integral(spec, "support_size") < 1:
+        if "support_size" in spec and _integral(spec["support_size"], "support_size") < 1:
             raise ValueError("support_size must be positive")
         object.__setattr__(self, "fixture", spec)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
         return cls(
-            n=_integral(doc, "n"),
-            k=_integral(doc, "k"),
-            eps=float(doc["eps"]),
-            trials=_integral(doc, "trials"),
-            master_seed=_integral(doc, "master_seed"),
+            n=_integral(doc["n"], "n"),
+            k=_integral(doc["k"], "k"),
+            eps=float(_number(doc["eps"], "eps")),
+            trials=_integral(doc["trials"], "trials"),
+            master_seed=_integral(doc["master_seed"], "master_seed"),
             variant=Variant(doc.get("variant", "classical")),
             fixture=doc.get("fixture", {"kind": "junta"}),
         )

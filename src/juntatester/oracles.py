@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .boolfn import BitString, BooleanFunction, DimensionMismatchError
 from .distribution import Distribution
 
@@ -67,10 +65,6 @@ class SampleOracle:
 
     distribution: Distribution
     ledger: QueryLedger = field(default_factory=QueryLedger)
-
-    def draw(self, rng: np.random.Generator) -> BitString:
-        self.ledger.classical_samples += 1
-        return BitString(self.distribution.n, self.distribution.sample_index(rng))
 
     def note_samples(self, amount: int) -> None:
         """Charge `amount` draws taken through a batched path."""

@@ -8,7 +8,6 @@ and rejects exactly when |S| + |cubes| > k at loop exit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import ceil
@@ -81,9 +80,6 @@ class TesterState:
     @property
     def potential(self) -> int:
         return 2 * len(self.s) + len(self.cubes)
-
-    def trace_jsonl(self) -> str:
-        return "\n".join(json.dumps(rec.to_json()) for rec in self.trace)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from juntatester.boolfn import (
     BitString,
     BooleanFunction,
     Cube,
-    cube_points,
+    cube_point_indices,
     restricted_spectrum,
 )
-from juntatester.distribution import Distribution, distance_to_k_junta, make_distribution
+from juntatester.distribution import Distribution, distance_to_k_junta
 from juntatester.harness import derive_rng, gen_far_fixture, gen_random_junta, gen_sparse_distribution
 from juntatester.oracles import MembershipOracle, QueryLedger, SampleOracle
 from juntatester.quantum import (
@@ -137,7 +137,7 @@ def test_criterion_03_fourier_sampler_exactness():
         probs = spectrum.squared()
         # exact identities at 1e-9
         assert abs(probs.sum() - 1.0) <= 1e-9
-        signs = 1.0 - 2.0 * f.table[[p.value for p in cube_points(cube)]]
+        signs = 1.0 - 2.0 * f.table[cube_point_indices(cube)[1]]
         assert abs(spectrum.coefficients[0] - signs.mean()) <= 1e-9
         # chi-square goodness of fit over 1e5 draws at significance 0.001
         draws = fourier_sample_many(MembershipOracle(f), cube, rng, 100_000)
@@ -309,7 +309,7 @@ def test_criterion_10_distance_oracle_self_consistency():
         n = int(rng.integers(4, 11))
         f = BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64))
         if rng.random() < 0.5:
-            dist = make_distribution(n, rng.random(1 << n))
+            dist = Distribution.dense(n, rng.random(1 << n))
         else:
             dist = gen_sparse_distribution(n, int(rng.integers(1, 1 << n)), rng)
         k = int(rng.integers(1, min(n - 1, 4) + 1))

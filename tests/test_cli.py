@@ -32,6 +32,11 @@ def parity_files(tmp_path):
     return str(fpath), str(dpath)
 
 
+def dense_doc(n, weights):
+    """A dense distribution document on n=6, the dimension of `junta_files`."""
+    return f'{{"n": {n}, "dense": {json.dumps(weights)}}}'
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -106,7 +111,7 @@ class TestDistanceCommand:
         assert json.loads(out)["distance"] == pytest.approx(0.5)
 
     def test_work_cap_exits_4(self, capsys, tmp_path):
-        f = BooleanFunction.constant(20, 0)
+        f = BooleanFunction(20, np.zeros(1 << 20))
         fpath = tmp_path / "big.json"
         fpath.write_text(json.dumps(f.to_json()))
         dpath = tmp_path / "bigd.json"
@@ -147,6 +152,16 @@ class TestDistanceCommand:
             '{"n": 2, "dense": [Infinity, 1, 1, 1]}',
             '{"n": 2, "support": [{"x": "1", "w": 1}]}',
             '{"n": 2, "support": [{"x": "01", "w": 1}, {"x": "01", "w": 2}]}',
+            pytest.param(dense_doc(6.5, [1] * 64), id="n-fractional"),
+            pytest.param(dense_doc('"6"', [1] * 64), id="n-string"),
+            pytest.param(dense_doc("1e400", [1] * 64), id="n-overflow"),
+            pytest.param(dense_doc(10**12, [1, 1]), id="n-huge"),
+            pytest.param(dense_doc(6, ["1"] * 64), id="dense-string-weights"),
+            pytest.param(dense_doc(6, [True, False] * 32), id="dense-bool-weights"),
+            pytest.param('{"n": 6, "support": [{"x": "000000", "w": "1"}]}', id="w-string"),
+            pytest.param('{"n": 6, "support": [{"x": "000000", "w": true}]}', id="w-bool"),
+            pytest.param('{"n": 6, "support": [{"x": 3.7, "w": 1}]}', id="x-fractional"),
+            pytest.param('{"n": 6, "support": [{"x": true, "w": 1}]}', id="x-bool"),
         ],
     )
     def test_malformed_distribution_exits_2(self, capsys, tmp_path, junta_files, doc):
@@ -159,6 +174,7 @@ class TestDistanceCommand:
         assert code == 2
         assert out == ""
         assert "bad_dist.json" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestMalformedFunction:
@@ -169,22 +185,30 @@ class TestMalformedFunction:
             {"n": 3, "table": "0x96ff"},
             {"n": 3, "table": "0x96", "junta": {"vars": [1, 2, 3], "inner_table": "0x9600"}},
             {"n": 3, "table": "0x96", "junta": {"vars": [1, 2, 9], "inner_table": "10010110"}},
+            pytest.param({"n": 3.9, "table": "01101001"}, id="n-fractional"),
+            pytest.param({"n": "3", "table": "01101001"}, id="n-string"),
+            pytest.param('{"n": 1e400, "table": "01101001"}', id="n-overflow"),
+            pytest.param(
+                {"n": 3, "table": "01010101", "junta": {"vars": [1.5], "inner_table": "01"}},
+                id="junta-var-fractional",
+            ),
         ],
     )
     def test_exits_2(self, capsys, tmp_path, doc):
         fpath = tmp_path / "bad_f.json"
-        fpath.write_text(json.dumps(doc))
+        fpath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(
             capsys, "spectrum", "--function", str(fpath), "--cube-x", "000", "--cube-y", "111"
         )
         assert (code, out) == (2, "")
         assert "bad_f.json" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSpectrumCommand:
     def test_constant(self, capsys, tmp_path):
         fpath = tmp_path / "c.json"
-        fpath.write_text(json.dumps(BooleanFunction.constant(3, 0).to_json()))
+        fpath.write_text(json.dumps(BooleanFunction(3, np.zeros(8)).to_json()))
         code, out, _ = run_cli(
             capsys, "spectrum", "--function", str(fpath),
             "--cube-x", "000", "--cube-y", "110",
@@ -207,7 +231,7 @@ class TestSpectrumCommand:
     def test_and_four_coefficients(self, capsys, tmp_path):
         fpath = tmp_path / "and.json"
         fpath.write_text(
-            json.dumps(BooleanFunction.from_table(2, [0, 0, 0, 1]).to_json())
+            json.dumps(BooleanFunction(2, np.array([0, 0, 0, 1])).to_json())
         )
         code, out, _ = run_cli(
             capsys, "spectrum", "--function", str(fpath),
@@ -220,7 +244,7 @@ class TestSpectrumCommand:
 
     def test_dimension_mismatch_exits_2(self, capsys, tmp_path):
         fpath = tmp_path / "c.json"
-        fpath.write_text(json.dumps(BooleanFunction.constant(3, 0).to_json()))
+        fpath.write_text(json.dumps(BooleanFunction(3, np.zeros(8)).to_json()))
         code, _, _ = run_cli(
             capsys, "spectrum", "--function", str(fpath),
             "--cube-x", "00", "--cube-y", "11",
@@ -267,6 +291,11 @@ class TestExperimentCommand:
         assert code == 3
 
 
+# sha256 of `gen` files for a 2-junta and the uniform distribution on n=6, seed 7
+JUNTA_6 = "410495e7df4dda11bffe08d6b55d69a04dd753c49060709f7d13e04dd1d979be"
+UNIFORM_6 = "30075a2757a644e6680a26a1a13b45be58aff509c56f7887eb77865427d13c38"
+
+
 class TestGenCommand:
     def test_gen_parity_with_certificate(self, capsys, tmp_path):
         fp, dp, cp = (str(tmp_path / x) for x in ("f.json", "d.json", "c.json"))
@@ -306,6 +335,43 @@ class TestGenCommand:
         assert code == 0
         json.loads(out)  # a single parseable document
 
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (["--kind", "junta", "--n", "6", "--k", "2"],
+             {"function": JUNTA_6, "dist": UNIFORM_6}),
+            (["--kind", "junta", "--n", "6", "--k", "2", "--support-size", "32"],
+             {"function": JUNTA_6,
+              "dist": "8450b45ec3ff2d5ce5d74c12210b84a2edc0e32cf35cbdbe7ce025f32a1db029"}),
+            (["--kind", "parity", "--n", "6", "--k", "2"],
+             {"function": "de33249fb65992d8f26a9efc2f1df8130db86a9efd92498d6644988d255aa9da",
+              "dist": UNIFORM_6,
+              "certificate": "14f28161d2166b4621cbf188e379ab0102037d4d720d8316b954d6a9746b17ec"}),
+            (["--kind", "random_function", "--n", "6", "--k", "2"],
+             {"function": "7af508734412552ad5eb74fd8d0d6e28d77c00de863e46afd8a06748846e685b",
+              "dist": UNIFORM_6,
+              "certificate": "a83113bae2034ee8d055a3bd968c6e87f90503717a603951ea59534cf6265fb2"}),
+            (["--kind", "planted", "--n", "8", "--k", "2", "--eps", "0.25"],
+             {"function": "956cffb5a09b33ef87392d40def9bdd53251fa87e3b32ff797e49513aa3c722b",
+              "dist": "385de70565984a638881744592f4b9c3754fca5e8ae8d671d1bf16393f141eb6",
+              "certificate": "815869b134c9c8d962c63ddf2d8ecbd722b57a2612b14aff2998d57e8285ae1f"}),
+        ],
+        ids=["junta-uniform", "junta-sparse", "parity", "random_function", "planted"],
+    )
+    def test_file_bytes_are_pinned(self, capsys, tmp_path, argv, digests):
+        """`gen` writes the bytes that `build_fixture` on stream 0 of the seed gives."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("function", "dist", "certificate")}
+        code, _, _ = run_cli(
+            capsys, "gen", *argv, "--seed", "7", "--out-function", str(paths["function"]),
+            "--out-dist", str(paths["dist"]), "--out-certificate", str(paths["certificate"]),
+        )
+        assert code == 0
+        written = {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items() if path.exists()
+        }
+        assert written == digests
+
 
 GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
 
@@ -322,17 +388,23 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
         (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "far", "family": "bogus"}}),
         (["experiment"], {**GOOD_CONFIG, "n": 8.7, "trials": 3.9}),
         (["experiment"], {**GOOD_CONFIG, "k": True}),
+        (["experiment"], {**GOOD_CONFIG, "eps": True}),
+        (["experiment"], {**GOOD_CONFIG, "eps": "0.25"}),
+        (["experiment"], {**GOOD_CONFIG, "master_seed": -5}),
+        (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--seed", "-1"], None),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, argv, config):
-    """Bad gen dimensions and bad experiment configs exit 2 before anything is built."""
+    """Bad gen arguments and bad experiment configs exit 2 before anything is built."""
     if config is None:
-        argv = argv + ["--seed", "1", "--out-function", str(tmp_path / "f.json"),
+        if "--seed" not in argv:
+            argv = argv + ["--seed", "1"]
+        argv = argv + ["--out-function", str(tmp_path / "f.json"),
                        "--out-dist", str(tmp_path / "d.json")]
     else:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "f.json").exists()

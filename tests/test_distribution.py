@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from juntatester.distribution import (
     WorkCapExceededError,
     best_junta_on,
     distance_to_k_junta,
-    make_distribution,
 )
 
 
@@ -77,30 +77,31 @@ def certificate_cases(draw):
 
 
 class TestMakeDistribution:
+    """Building a distribution from raw weights: a dense list or a sparse mapping."""
+
     def test_normalization(self):
-        d = make_distribution(1, [2.0, 2.0])
+        d = Distribution.dense(1, [2.0, 2.0])
         assert np.allclose(d.dense_weights(), [0.5, 0.5])
 
     def test_sparse_point_mass(self):
-        d = make_distribution(2, {"11": 1.0})
-        assert d.prob(BitString.from_str("11")) == pytest.approx(1.0)
-        assert d.prob(BitString.from_str("00")) == 0.0
+        d = Distribution.sparse(2, {"11": 1.0})
+        assert d.dense_weights().tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            make_distribution(1, [1.0, -1.0])
+            Distribution.dense(1, [1.0, -1.0])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            make_distribution(2, [0.0, 0.0, 0.0, 0.0])
+            Distribution.dense(2, [0.0, 0.0, 0.0, 0.0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            make_distribution(2, [0.5, 0.5])
+            Distribution.dense(2, [0.5, 0.5])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
-        d = make_distribution(4, rng.random(16))
+        d = Distribution.dense(4, rng.random(16))
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -119,8 +120,8 @@ class TestBestJuntaOn:
         assert np.array_equal(h.table, np.zeros(4, dtype=np.uint8))
 
     def test_support_only_where_f_is_one(self):
-        f = BooleanFunction.from_table(2, [0, 1, 0, 1])
-        d = make_distribution(2, {"10": 0.3, "11": 0.7})  # f = 1 on both
+        f = BooleanFunction(2, np.array([0, 1, 0, 1]))
+        d = Distribution.sparse(2, {"10": 0.3, "11": 0.7})  # f = 1 on both
         h, err = best_junta_on(f, d, [2])
         assert err == pytest.approx(0.0, abs=1e-12)
         assert all(h.eval(BitString.from_str(s)) == 1 for s in ("10", "11"))
@@ -149,7 +150,7 @@ class TestDistanceToKJunta:
         for _ in range(5):
             n = int(rng.integers(3, 6))
             f = BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64))
-            d = make_distribution(n, rng.random(1 << n))
+            d = Distribution.dense(n, rng.random(1 << n))
             k = int(rng.integers(1, 3))
             cert = distance_to_k_junta(f, d, k)
             assert cert.distance == pytest.approx(
@@ -161,7 +162,7 @@ class TestDistanceToKJunta:
         for _ in range(10):
             n = int(rng.integers(3, 7))
             f = BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64))
-            d = make_distribution(n, rng.random(1 << n))
+            d = Distribution.dense(n, rng.random(1 << n))
             k = int(rng.integers(1, n))
             cert = distance_to_k_junta(f, d, k)
             w = d.dense_weights()
@@ -175,7 +176,7 @@ class TestDistanceToKJunta:
         for _ in range(8):
             n = int(rng.integers(3, 7))
             f = BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64))
-            d = make_distribution(n, rng.random(1 << n))
+            d = Distribution.dense(n, rng.random(1 << n))
             k = int(rng.integers(0, n - 1))
             d_k = distance_to_k_junta(f, d, k).distance
             d_k1 = distance_to_k_junta(f, d, k + 1).distance
@@ -184,7 +185,7 @@ class TestDistanceToKJunta:
     def test_distance_zero_iff_agreement_on_support(self):
         f = BooleanFunction.parity(3, [1, 2, 3])
         # support confined to a line where parity matches a 1-junta
-        d = make_distribution(3, {"000": 0.5, "100": 0.5})
+        d = Distribution.sparse(3, {"000": 0.5, "100": 0.5})
         cert = distance_to_k_junta(f, d, 1)
         assert cert.distance == pytest.approx(0.0, abs=1e-12)
         assert np.all(
@@ -208,20 +209,42 @@ class TestDistanceToKJunta:
         assert cert.distance == 0.5
 
     def test_work_cap(self):
-        f = BooleanFunction.constant(4, 0)
+        f = BooleanFunction(4, np.zeros(16))
         with pytest.raises(WorkCapExceededError):
             distance_to_k_junta(f, Distribution.uniform(4), 2, work_cap=10)
 
 
+@st.composite
+def distributions(draw):
+    """A small distribution with dense or sparse support; some weights may be 0."""
+    n = draw(st.integers(1, 6))
+    weight = st.floats(0, 10, allow_subnormal=False)
+    if draw(st.booleans()):
+        weights = draw(st.lists(weight, min_size=1 << n, max_size=1 << n).filter(any))
+        return Distribution.dense(n, weights)
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n,
+                            unique=True))
+    weights = draw(st.lists(weight, min_size=len(support), max_size=len(support)).filter(any))
+    return Distribution(n, np.array(support), np.array(weights))
+
+
 class TestDistributionJson:
+    @settings(max_examples=100, deadline=None)
+    @given(distributions())
+    def test_round_trip_property(self, d):
+        d2 = Distribution.from_json(json.loads(json.dumps(d.to_json())))
+        assert d2.n == d.n
+        assert sorted(d2.support.tolist()) == sorted(d.support.tolist())
+        assert np.allclose(d2.dense_weights(), d.dense_weights(), rtol=1e-12, atol=0)
+
     def test_dense_round_trip(self):
         rng = np.random.default_rng(1)
-        d = make_distribution(3, rng.random(8))
+        d = Distribution.dense(3, rng.random(8))
         d2 = Distribution.from_json(d.to_json())
         assert np.allclose(d.dense_weights(), d2.dense_weights())
 
     def test_sparse_round_trip(self):
-        d = make_distribution(4, {"0011": 1.0, "1100": 3.0})
+        d = Distribution.sparse(4, {"0011": 1.0, "1100": 3.0})
         d2 = Distribution.from_json(d.to_json())
         assert np.allclose(d.dense_weights(), d2.dense_weights())
         assert d2.support.size == 2
@@ -240,14 +263,14 @@ class TestMalformedWeights:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError):
-            make_distribution(2, [1.0, bad, 1.0, 1.0])
+            Distribution.dense(2, [1.0, bad, 1.0, 1.0])
         with pytest.raises(ValueError):
-            make_distribution(2, {"01": bad})
+            Distribution.sparse(2, {"01": bad})
 
     def test_overflowing_total_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             with np.errstate(over="ignore"):
-                make_distribution(1, [1e308, 1e308])
+                Distribution.dense(1, [1e308, 1e308])
 
     @pytest.mark.parametrize("key", ["1111", "111111111", BitString(4, 15)])
     def test_sparse_key_of_wrong_length_rejected(self, key):

@@ -32,7 +32,7 @@ class TestGenRandomJunta:
         rng = np.random.default_rng(2)
         for _ in range(20):
             f = gen_random_junta(10, 3, rng)
-            assert f.is_k_junta(3)
+            assert len(f.relevant_variables()) <= 3
             assert f.junta_vars is not None and len(f.junta_vars) == 3
 
     def test_k_too_large(self):
@@ -111,6 +111,8 @@ class TestExperimentConfig:
             ExperimentConfig(n=4, k=2, eps=0.0, trials=10, master_seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=4, k=2, eps=0.5, trials=0, master_seed=1)
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=4, k=2, eps=0.5, trials=10, master_seed=-5)
 
     @pytest.mark.parametrize(
         "fixture",

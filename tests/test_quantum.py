@@ -4,8 +4,10 @@ from math import ceil, sqrt
 import numpy as np
 import pytest
 
-from juntatester.boolfn import BitString, BooleanFunction, Cube, restricted_spectrum
-from juntatester.distribution import Distribution, make_distribution
+from juntatester.boolfn import (
+    BitString, BooleanFunction, Cube, cube_point_indices, restricted_spectrum
+)
+from juntatester.distribution import Distribution
 from juntatester.oracles import MembershipOracle, QueryLedger, SampleOracle
 from juntatester.quantum import (
     DegenerateCubeError,
@@ -37,7 +39,7 @@ def brute_force_attempt_probability(f, dist, fixed):
 
 class TestFourierSample:
     def test_constant_always_empty(self):
-        oracle = MembershipOracle(BooleanFunction.constant(3, 1))
+        oracle = MembershipOracle(BooleanFunction(3, np.ones(8)))
         B = Cube(BitString.from_str("000"), BitString.from_str("110"))
         rng = np.random.default_rng(0)
         assert all(fourier_sample(oracle, B, rng) == frozenset() for _ in range(50))
@@ -62,7 +64,7 @@ class TestFourierSample:
         }
 
     def test_degenerate_cube_rejected(self):
-        oracle = MembershipOracle(BooleanFunction.constant(2, 0))
+        oracle = MembershipOracle(BooleanFunction(2, np.zeros(4)))
         x = BitString.from_str("01")
         with pytest.raises(DegenerateCubeError):
             fourier_sample(oracle, Cube(x, x), np.random.default_rng(0))
@@ -71,7 +73,7 @@ class TestFourierSample:
         # AND spectrum is (1/2, 1/2, 1/2, -1/2): each subset has probability 1/4;
         # 1e5 draws, binomial 3-sigma bound ~0.0041 < 0.006
         ledger = QueryLedger()
-        oracle = MembershipOracle(BooleanFunction.from_table(2, [0, 0, 0, 1]), ledger)
+        oracle = MembershipOracle(BooleanFunction(2, np.array([0, 0, 0, 1])), ledger)
         B = Cube(BitString.from_str("00"), BitString.from_str("11"))
         draws = fourier_sample_many(oracle, B, np.random.default_rng(3), 100000)
         assert ledger.quantum_queries == 100000
@@ -103,9 +105,7 @@ class TestFourierSample:
             x, y = 0, int(rng.integers(1, 1 << n))
             B = Cube(BitString(n, x), BitString(n, y))
             sp = restricted_spectrum(f, B)
-            from juntatester.boolfn import cube_points
-
-            signs = [(-1) ** f.eval(p) for p in cube_points(B)]
+            signs = [(-1) ** int(f.table[v]) for v in cube_point_indices(B)[1]]
             avg = sum(signs) / len(signs)
             assert sp.squared()[0] == pytest.approx(avg**2, abs=1e-9)
 
@@ -133,7 +133,7 @@ class TestAttemptSuccessProbability:
         for _ in range(8):
             n = int(rng.integers(2, 6))
             f = BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64))
-            d = make_distribution(n, rng.random(1 << n))
+            d = Distribution.dense(n, rng.random(1 << n))
             fixed = frozenset(
                 int(v) for v in rng.choice(np.arange(1, n + 1), size=n // 2, replace=False)
             )
@@ -173,7 +173,7 @@ class TestAmplification:
 
     def test_constant_function_always_fails(self):
         ledger = QueryLedger()
-        f = BooleanFunction.constant(4, 0)
+        f = BooleanFunction(4, np.zeros(16))
         oracle = MembershipOracle(f, ledger)
         samples = SampleOracle(Distribution.uniform(4), ledger)
         rng = np.random.default_rng(17)

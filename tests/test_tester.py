@@ -2,6 +2,8 @@ from math import ceil, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juntatester.boolfn import BitString, BooleanFunction, Cube
 from juntatester.distribution import Distribution, distance_to_k_junta
@@ -11,11 +13,20 @@ from juntatester.tester import (
     Decision,
     TesterState,
     TraceAction,
+    Variant,
     check_invariants,
     generate_cube,
     run_tester,
     step,
 )
+
+
+def constant(n, value):
+    return BooleanFunction(n, np.full(1 << n, value))
+
+
+def dictator(n, i):
+    return BooleanFunction.from_junta(n, [i], [0, 1])
 
 
 def make_oracles(f, dist):
@@ -32,14 +43,14 @@ def state_with_cube(f, cube):
 
 class TestGenerateCube:
     def test_constant_fails_after_all_attempts(self):
-        mo, so, ledger = make_oracles(BooleanFunction.constant(4, 0), Distribution.uniform(4))
+        mo, so, ledger = make_oracles(constant(4, 0), Distribution.uniform(4))
         assert generate_cube(mo, so, frozenset(), 0.3, np.random.default_rng(0)) is None
         attempts = ceil(2 / 0.3)
         assert ledger.classical_samples == attempts
         assert ledger.classical_queries == 2 * attempts
 
     def test_dictator_with_variable_fixed_never_succeeds(self):
-        mo, so, _ = make_oracles(BooleanFunction.dictator(4, 1), Distribution.uniform(4))
+        mo, so, _ = make_oracles(dictator(4, 1), Distribution.uniform(4))
         rng = np.random.default_rng(1)
         assert all(
             generate_cube(mo, so, frozenset({1}), 0.5, rng) is None for _ in range(200)
@@ -47,7 +58,7 @@ class TestGenerateCube:
 
     def test_dictator_success_rate(self):
         # per-attempt success is exactly 1/2 (1 in T); 4 attempts -> 15/16
-        mo, so, _ = make_oracles(BooleanFunction.dictator(4, 1), Distribution.uniform(4))
+        mo, so, _ = make_oracles(dictator(4, 1), Distribution.uniform(4))
         rng = np.random.default_rng(2)
         runs = 10000
         hits = sum(
@@ -78,14 +89,14 @@ class TestGenerateCube:
         assert ledger.classical_samples <= ceil(2 / 0.25)
 
     def test_invalid_eps(self):
-        mo, so, _ = make_oracles(BooleanFunction.constant(2, 0), Distribution.uniform(2))
+        mo, so, _ = make_oracles(constant(2, 0), Distribution.uniform(2))
         with pytest.raises(ValueError):
             generate_cube(mo, so, frozenset(), 0.0, np.random.default_rng(0))
 
 
 class TestStep:
     def test_constant_generate_failed(self):
-        mo, so, _ = make_oracles(BooleanFunction.constant(4, 0), Distribution.uniform(4))
+        mo, so, _ = make_oracles(constant(4, 0), Distribution.uniform(4))
         new = step(TesterState(), mo, so, 2, 0.5, np.random.default_rng(0))
         assert new.iteration == 1
         assert new.trace[-1].action is TraceAction.GENERATE_FAILED
@@ -106,7 +117,7 @@ class TestStep:
         # f on the full 2-cube: value 1 only at corner x=00 (f(y)=0 elsewhere).
         # Exact analysis: Pr[T nonempty] = 3/4; given T empty, the uniform split
         # draw lands in step 2(e) with probability 1/2, else no progress.
-        f = BooleanFunction.from_table(2, [1, 0, 0, 0])
+        f = BooleanFunction(2, np.array([1, 0, 0, 0]))
         cube = Cube(BitString.from_str("00"), BitString.from_str("11"))
         rng = np.random.default_rng(2)
         counts = {action: 0 for action in TraceAction}
@@ -126,7 +137,7 @@ class TestStep:
 
     def test_split_cubes_are_disjoint_and_relevant(self):
         rng = np.random.default_rng(5)
-        f = BooleanFunction.from_table(3, [1, 0, 0, 0, 0, 0, 0, 0])
+        f = BooleanFunction(3, np.array([1, 0, 0, 0, 0, 0, 0, 0]))
         cube = Cube(BitString.from_str("000"), BitString.from_str("111"))
         seen_split = False
         for _ in range(200):
@@ -238,14 +249,15 @@ class TestRunTester:
         f = BooleanFunction.parity(5, [1, 2])
         mo, so, _ = make_oracles(f, Distribution.uniform(5))
         verdict = run_tester(mo, so, 1, 0.5, np.random.default_rng(29))
-        lines = verdict.final_state.trace_jsonl().splitlines()
+        lines = [json.dumps(rec.to_json()) for rec in verdict.final_state.trace]
         assert len(lines) == verdict.final_state.iteration
-        for line in lines:
+        for i, line in enumerate(lines, 1):
             rec = json.loads(line)
             assert set(rec) == {"iteration", "action", "potential", "s_size", "num_cubes"}
+            assert rec["iteration"] == i and TraceAction(rec["action"])
 
     def test_parameter_validation(self):
-        f = BooleanFunction.constant(4, 0)
+        f = constant(4, 0)
         mo, so, _ = make_oracles(f, Distribution.uniform(4))
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -272,16 +284,42 @@ class TestRunTester:
         assert rejects / runs >= 0.5 - 3 * sqrt(0.25 / runs)
 
 
+@st.composite
+def small_fixtures(draw):
+    """A random (f, D, k) on n <= 6 with integer weights, so no attempt is vanishingly rare."""
+    n = draw(st.integers(2, 6))
+    table = draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n,
+                            unique=True))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(support), max_size=len(support))
+                   .filter(any))
+    k = draw(st.integers(1, n - 1))
+    return BooleanFunction(n, np.array(table)), Distribution(n, support, weights), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_fixtures(), st.sampled_from(list(Variant)), st.sampled_from([0.1, 0.25, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_step_walk_keeps_invariants(fixture, variant, eps, seed):
+    f, dist, k = fixture
+    mo, so, _ = make_oracles(f, dist)
+    rng = np.random.default_rng(seed)
+    state = TesterState()
+    while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+        state = step(state, mo, so, k, eps, rng, variant)
+        assert check_invariants(state, f)
+
+
 class TestCheckInvariants:
     def test_empty_state(self):
-        assert check_invariants(TesterState(), BooleanFunction.constant(3, 0))
+        assert check_invariants(TesterState(), constant(3, 0))
 
     def test_irrelevant_variable_in_s(self):
-        f = BooleanFunction.dictator(4, 2)
+        f = dictator(4, 2)
         assert not check_invariants(TesterState(s=frozenset({3})), f)
 
     def test_irrelevant_cube(self):
-        f = BooleanFunction.constant(3, 0)
+        f = constant(3, 0)
         cube = Cube(BitString.from_str("000"), BitString.from_str("100"))
         assert not check_invariants(state_with_cube(f, cube), f)
 

@@ -18,14 +18,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 N_MAX = 24
-M_MAX = 24
 
 
 class DimensionMismatchError(ValueError):
-    pass
-
-
-class CubeTooLargeError(ValueError):
     pass
 
 
@@ -188,6 +183,8 @@ class BooleanFunction:
             raise ValueError("junta backing needs both the variable set and the inner table")
         if self.junta_vars is not None:
             vars_ = tuple(sorted(self.junta_vars))
+            if len(set(vars_)) != len(vars_):
+                raise ValueError(f"junta variables repeat: {list(vars_)}")
             inner = np.ascontiguousarray(self.junta_inner, dtype=np.uint8)
             if inner.shape != (1 << len(vars_),):
                 raise ValueError("inner table size does not match the variable set")
@@ -275,9 +272,6 @@ def cube_point_indices(cube: Cube) -> tuple[tuple[int, ...], np.ndarray]:
     the j-th smallest element of I(B).
     """
     positions = tuple(sorted(cube.disagreement))
-    m = len(positions)
-    if m > M_MAX:
-        raise CubeTooLargeError(f"cube dimension {m} exceeds cap {M_MAX}")
     idx = np.array([cube.x.value], dtype=np.int64)
     for i in positions:
         idx = np.concatenate([idx, idx ^ (1 << (i - 1))])

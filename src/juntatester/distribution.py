@@ -41,7 +41,8 @@ class Distribution:
             raise ValueError("empty support")
         if np.any(support < 0) or np.any(support >= (1 << self.n)):
             raise ValueError("support point out of range")
-        if np.unique(support).size != support.size:
+        ordered = np.sort(support)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate support points")
         if np.any(probs < 0):
             raise ValueError("negative weight")

@@ -42,22 +42,43 @@ def gen_random_junta(n: int, k: int, rng: np.random.Generator) -> BooleanFunctio
     return BooleanFunction.from_junta(n, variables, inner)
 
 
-def gen_sparse_distribution(
-    n: int, support_size: int, rng: np.random.Generator
-) -> Distribution:
+def gen_sparse_distribution(n: int, support_size: int, rng: np.random.Generator) -> Distribution:
     """Random sparse distribution: distinct support points, positive random weights."""
-    support_size = min(support_size, 1 << n)
     support = rng.choice(np.arange(1 << n, dtype=np.int64), size=support_size, replace=False)
     weights = rng.random(support_size) + 1e-3
     return Distribution(n, support, weights)
 
 
+def _far_candidate(
+    n: int, k: int, rng: np.random.Generator, family: str, uniform: Optional[Distribution]
+) -> tuple[BooleanFunction, Distribution]:
+    """One uncertified (f, D) of `family`; parity and random_function use `uniform`."""
+    if family == "parity":
+        variables = sorted(rng.choice(np.arange(1, n + 1), size=k + 1, replace=False).tolist())
+        return BooleanFunction.parity(n, variables), uniform
+    if family == "random_function":
+        return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64)), uniform
+    # planted: fix half the coordinates; put a (k+1)-parity on the free ones
+    # and restrict the distribution's mass to the resulting subcube.
+    n_fixed = max(0, min(n - (k + 1), n // 2))
+    order = rng.permutation(np.arange(1, n + 1))
+    fixed_vars = sorted(order[:n_fixed].tolist())
+    free_vars = sorted(order[n_fixed:].tolist())
+    parity_vars = sorted(rng.choice(np.array(free_vars), size=k + 1, replace=False).tolist())
+    anchor = int(rng.integers(0, 1 << n))
+    fixed_mask = sum(1 << (v - 1) for v in fixed_vars)
+    points = np.arange(1 << n, dtype=np.int64)
+    in_cube = (points & fixed_mask) == (anchor & fixed_mask)
+    parity_bits = np.zeros(1 << n, dtype=np.int64)
+    for v in parity_vars:
+        parity_bits ^= points >> (v - 1) & 1
+    table = np.where(in_cube, parity_bits, 0).astype(np.uint8)
+    dist = Distribution(n, points[in_cube], np.full(int(in_cube.sum()), 1.0))
+    return BooleanFunction(n, table), dist
+
+
 def gen_far_fixture(
-    n: int,
-    k: int,
-    eps: float,
-    rng: np.random.Generator,
-    family: str = "parity",
+    n: int, k: int, eps: float, rng: np.random.Generator, family: str
 ) -> tuple[BooleanFunction, Distribution, DistanceCertificate]:
     """A function/distribution pair certified eps-far from every k-junta.
 
@@ -66,61 +87,20 @@ def gen_far_fixture(
       random_function uniformly random table, uniform D, resampled until certified;
       planted         mass confined to a random subcube carrying a (k+1)-parity.
     """
-    if family == "parity":
-        variables = sorted(rng.choice(np.arange(1, n + 1), size=k + 1, replace=False).tolist())
-        f = BooleanFunction.parity(n, variables)
-        dist = Distribution.uniform(n)
+    if family not in FAR_FAMILIES:
+        raise ValueError(f"unknown fixture family: {family}")
+    tries = RANDOM_FUNCTION_RETRIES if family == "random_function" else 1
+    uniform = None if family == "planted" else Distribution.uniform(n)
+    best = 0.0
+    for _ in range(tries):
+        f, dist = _far_candidate(n, k, rng, family, uniform)
         cert = distance_to_k_junta(f, dist, k)
-        if cert.distance < eps - 1e-12:
-            raise FixtureError(
-                f"parity fixture achieves distance {cert.distance}, below eps={eps}"
-            )
-        return f, dist, cert
-
-    if family == "random_function":
-        dist = Distribution.uniform(n)
-        best = 0.0
-        for _ in range(RANDOM_FUNCTION_RETRIES):
-            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.int64))
-            cert = distance_to_k_junta(f, dist, k)
-            if cert.distance >= eps:
-                return f, dist, cert
-            best = max(best, cert.distance)
-        raise FixtureError(
-            f"no random function reached distance {eps} in "
-            f"{RANDOM_FUNCTION_RETRIES} tries (best {best})"
-        )
-
-    if family == "planted":
-        # Fix half the coordinates; put a (k+1)-parity on the free ones and
-        # restrict the distribution's mass to the resulting subcube.
-        n_fixed = max(0, min(n - (k + 1), n // 2))
-        order = rng.permutation(np.arange(1, n + 1))
-        fixed_vars = sorted(order[:n_fixed].tolist())
-        free_vars = sorted(order[n_fixed:].tolist())
-        parity_vars = sorted(
-            rng.choice(np.array(free_vars), size=k + 1, replace=False).tolist()
-        )
-        anchor = int(rng.integers(0, 1 << n))
-        fixed_mask = sum(1 << (v - 1) for v in fixed_vars)
-        points = np.arange(1 << n, dtype=np.int64)
-        in_cube = (points & fixed_mask) == (anchor & fixed_mask)
-        parity_bits = np.zeros(1 << n, dtype=np.int64)
-        for v in parity_vars:
-            parity_bits ^= points >> (v - 1) & 1
-        table = np.where(in_cube, parity_bits, 0).astype(np.uint8)
-        f = BooleanFunction(n, table)
-        dist = Distribution(
-            n, points[in_cube], np.full(int(in_cube.sum()), 1.0)
-        )
-        cert = distance_to_k_junta(f, dist, k)
-        if cert.distance < eps - 1e-12:
-            raise FixtureError(
-                f"planted fixture achieves distance {cert.distance}, below eps={eps}"
-            )
-        return f, dist, cert
-
-    raise ValueError(f"unknown fixture family: {family}")
+        if cert.distance >= eps - 1e-12:
+            return f, dist, cert
+        best = max(best, cert.distance)
+    raise FixtureError(
+        f"best {family} fixture distance {best} is below eps={eps} after {tries} draw(s)"
+    )
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99) -> tuple[float, float]:
@@ -148,7 +128,7 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     variant: Variant = Variant.CLASSICAL
-    fixture: Mapping = field(default_factory=lambda: {"kind": "junta"})
+    fixture: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         # checked before anything is built, so a bad size never allocates
@@ -161,27 +141,43 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "variant", Variant(self.variant))
-        spec = dict(self.fixture)
-        kind = spec.get("kind", "junta")
-        if kind not in ("junta", "far"):
+        # The one reading of the fixture spec: it is stored as
+        # {"kind": "junta", "dist": "uniform" | "point_mass"},
+        # {"kind": "junta", "dist": "sparse", "support_size": N} with 1 <= N <= 2^n,
+        # or {"kind": "far", "family": F}. Any other key is refused.
+        rest = dict(self.fixture)
+        kind = rest.pop("kind", "junta")
+        if kind == "junta":
+            spec = {"kind": kind, "dist": rest.pop("dist", "uniform")}
+            if spec["dist"] not in JUNTA_DISTS:
+                raise ValueError(f"unknown fixture dist: {spec['dist']}")
+            if spec["dist"] == "sparse":
+                size = _integral(rest.pop("support_size", 64), "support_size")
+                if not 1 <= size <= 1 << self.n:
+                    raise ValueError(f"support_size must be in 1..2^{self.n}, got {size}")
+                spec["support_size"] = size
+        elif kind == "far":
+            spec = {"kind": kind, "family": rest.pop("family", "parity")}
+            if spec["family"] not in FAR_FAMILIES:
+                raise ValueError(f"unknown fixture family: {spec['family']}")
+        else:
             raise ValueError(f"unknown fixture kind: {kind}")
-        key, known = ("dist", JUNTA_DISTS) if kind == "junta" else ("family", FAR_FAMILIES)
-        if spec.get(key, known[0]) not in known:
-            raise ValueError(f"unknown fixture {key}: {spec[key]}")
-        if "support_size" in spec and _integral(spec["support_size"], "support_size") < 1:
-            raise ValueError("support_size must be positive")
+        if rest:
+            raise ValueError(f"fixture keys {list(rest)} do not apply to {spec}")
         object.__setattr__(self, "fixture", spec)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
+        unknown = set(doc) - {"n", "k", "eps", "trials", "master_seed", "variant", "fixture"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(
             n=_integral(doc["n"], "n"),
             k=_integral(doc["k"], "k"),
             eps=float(_number(doc["eps"], "eps")),
             trials=_integral(doc["trials"], "trials"),
             master_seed=_integral(doc["master_seed"], "master_seed"),
-            variant=Variant(doc.get("variant", "classical")),
-            fixture=doc.get("fixture", {"kind": "junta"}),
+            **{key: doc[key] for key in ("variant", "fixture") if key in doc},
         )
 
 
@@ -221,25 +217,19 @@ def build_fixture(
 ) -> tuple[BooleanFunction, Distribution, Optional[DistanceCertificate]]:
     """Materialize the configured fixture from the experiment's fixture stream.
 
-    The config has already checked the fixture kind, dist and family.
+    `config.fixture` is already normalized: every key it needs is present.
     """
-    spec = dict(config.fixture)
-    kind = spec.get("kind", "junta")
-    if kind == "junta":
-        f = gen_random_junta(config.n, config.k, rng)
-        dist_kind = spec.get("dist", "uniform")
-        if dist_kind == "uniform":
-            dist = Distribution.uniform(config.n)
-        elif dist_kind == "sparse":
-            dist = gen_sparse_distribution(
-                config.n, int(spec.get("support_size", 64)), rng
-            )
-        else:  # point_mass
-            dist = Distribution.point_mass(
-                BitString(config.n, int(rng.integers(0, 1 << config.n)))
-            )
-        return f, dist, None
-    return gen_far_fixture(config.n, config.k, config.eps, rng, spec.get("family", "parity"))
+    spec = config.fixture
+    if spec["kind"] == "far":
+        return gen_far_fixture(config.n, config.k, config.eps, rng, spec["family"])
+    f = gen_random_junta(config.n, config.k, rng)
+    if spec["dist"] == "uniform":
+        dist = Distribution.uniform(config.n)
+    elif spec["dist"] == "sparse":
+        dist = gen_sparse_distribution(config.n, spec["support_size"], rng)
+    else:  # point_mass
+        dist = Distribution.point_mass(BitString(config.n, int(rng.integers(0, 1 << config.n))))
+    return f, dist, None
 
 
 def _aggregate_ledgers(ledgers: list[QueryLedger]) -> dict:

@@ -8,7 +8,7 @@ and rejects exactly when |S| + |cubes| > k at loop exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import ceil
 from typing import Optional
@@ -120,15 +120,12 @@ def generate_cube(
 
 
 def _record(state: TesterState, action: TraceAction, **changes) -> TesterState:
-    new = replace(state, iteration=state.iteration + 1, **changes)
-    rec = TraceRecord(
-        iteration=new.iteration,
-        action=action,
-        potential=new.potential,
-        s_size=len(new.s),
-        num_cubes=len(new.cubes),
-    )
-    return replace(new, trace=new.trace + (rec,))
+    """The next state: `changes` applied, the iteration counted and traced."""
+    parts = {"s": state.s, "cubes": state.cubes, "corner_values": state.corner_values, **changes}
+    iteration = state.iteration + 1
+    s_size, num_cubes = len(parts["s"]), len(parts["cubes"])
+    rec = TraceRecord(iteration, action, 2 * s_size + num_cubes, s_size, num_cubes)
+    return TesterState(iteration=iteration, trace=state.trace + (rec,), **parts)
 
 
 def step(
@@ -211,11 +208,10 @@ def run_tester(
     eps: float,
     rng: np.random.Generator,
     variant: Variant | str = Variant.CLASSICAL,
-    iteration_factor: int = ITERATION_FACTOR,
 ) -> Verdict:
     """Run the full tester from the empty state and return its verdict.
 
-    Accepts iff |S| + |cubes| <= k after at most `iteration_factor`*k loop
+    Accepts iff |S| + |cubes| <= k after at most ITERATION_FACTOR*k loop
     iterations. For a k-junta the verdict is accept with certainty; for a
     function eps-far from every k-junta under D it is reject with probability
     at least 1/2.
@@ -227,8 +223,7 @@ def run_tester(
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     variant = Variant(variant)
     state = TesterState()
-    max_iterations = iteration_factor * k
-    while state.iteration < max_iterations and len(state.s) + len(state.cubes) <= k:
+    while state.iteration < ITERATION_FACTOR * k and len(state.s) + len(state.cubes) <= k:
         state = step(state, oracle, samples, k, eps, rng, variant)
     decision = (
         Decision.REJECT if len(state.s) + len(state.cubes) > k else Decision.ACCEPT

@@ -10,7 +10,6 @@ from juntatester.boolfn import (
     BitString,
     BooleanFunction,
     Cube,
-    CubeTooLargeError,
     DimensionMismatchError,
     class_indices,
     cube_point_indices,
@@ -280,23 +279,6 @@ class TestRestrictedSpectrum:
             sq_yx = restricted_spectrum(f, Cube(y, x)).squared()
             assert np.allclose(sq_xy, sq_yx, atol=TOL)
 
-    def test_cube_too_large(self):
-        f = constant(2, 0)
-        B = Cube(BitString(2, 0), BitString(2, 3))
-        # shrink the cap via monkeypatching is invasive; check the guard directly
-        from juntatester import boolfn
-
-        positions, _ = boolfn.cube_point_indices(B)
-        assert len(positions) <= boolfn.M_MAX
-        with pytest.raises(CubeTooLargeError):
-            # fabricate an oversized disagreement set by lowering the cap
-            original = boolfn.M_MAX
-            boolfn.M_MAX = 1
-            try:
-                boolfn.cube_point_indices(B)
-            finally:
-                boolfn.M_MAX = original
-
 
 class TestJuntaBacking:
     def test_backing_agrees_exhaustively(self):
@@ -316,6 +298,13 @@ class TestJuntaBacking:
         f = BooleanFunction.parity(3, [1])
         doc = f.to_json()
         doc["junta"] = {"vars": [2], "inner_table": "01"}
+        with pytest.raises(ValueError):
+            BooleanFunction.from_json(doc)
+
+    def test_repeated_variable_refused(self):
+        with pytest.raises(ValueError):
+            BooleanFunction.from_junta(4, [2, 2], [0, 1, 1, 1])
+        doc = {"n": 3, "table": "01010101", "junta": {"vars": [1, 1], "inner_table": "0111"}}
         with pytest.raises(ValueError):
             BooleanFunction.from_json(doc)
 

@@ -392,18 +392,38 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
         (["experiment"], {**GOOD_CONFIG, "eps": "0.25"}),
         (["experiment"], {**GOOD_CONFIG, "master_seed": -5}),
         (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--seed", "-1"], None),
+        (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "junta", "dsit": "sparse"}}),
+        (["experiment"],
+         {**GOOD_CONFIG, "fixture": {"kind": "far", "family": "parity", "support_size": 8}}),
+        (["experiment"], {**GOOD_CONFIG, "n": 6,
+                          "fixture": {"kind": "junta", "dist": "sparse", "support_size": 2000}}),
+        (["gen", "--kind", "junta", "--n", "6", "--k", "2", "--support-size", "2000"], None),
+        (["gen", "--kind", "parity", "--n", "8", "--k", "2", "--support-size", "32"], None),
+        (["experiment"], {**GOOD_CONFIG, "varaint": "amplified"}),
+        (["experiment"],
+         {**GOOD_CONFIG, "fixture": {"kind": "junta", "dist": "uniform", "support_size": 8}}),
+        (["experiment"],
+         {**GOOD_CONFIG, "fixture": {"kind": "junta", "dist": "point_mass", "support_size": 8}}),
+        (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "junta", "family": "parity"}}),
+        (["experiment"], {**GOOD_CONFIG, "fixture": {"kind": "far", "dist": "uniform"}}),
+        (["experiment"], {**GOOD_CONFIG, "n": 5, "fixture": {"kind": "junta", "dist": "sparse"}}),
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         {"n": 3, "table": "01010101", "junta": {"vars": [1, 1], "inner_table": "0111"}}),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, argv, config):
-    """Bad gen arguments and bad experiment configs exit 2 before anything is built."""
+    """Bad gen arguments, experiment configs and function files exit 2 before
+    anything is built. `config` is the file the command reads: an experiment
+    config, or the function file of `spectrum`."""
     if config is None:
         if "--seed" not in argv:
             argv = argv + ["--seed", "1"]
         argv = argv + ["--out-function", str(tmp_path / "f.json"),
                        "--out-dist", str(tmp_path / "d.json")]
     else:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        (tmp_path / "in.json").write_text(json.dumps(config))
+        flag = "--config" if argv[0] == "experiment" else "--function"
+        argv = argv + [flag, str(tmp_path / "in.json")]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1

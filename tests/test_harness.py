@@ -76,9 +76,12 @@ class TestSparseDistribution:
         assert d.support.size == 32
         assert np.all(d.probs > 0)
 
-    def test_support_capped_at_cube_size(self):
-        d = gen_sparse_distribution(3, 100, np.random.default_rng(8))
-        assert d.support.size == 8
+    def test_oversize_support_refused(self):
+        fixture = {"kind": "junta", "dist": "sparse", "support_size": 9}
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=3, k=1, eps=0.25, trials=1, master_seed=8, fixture=fixture)
+        with pytest.raises(ValueError):
+            gen_sparse_distribution(3, 9, np.random.default_rng(8))
 
 
 class TestWilsonInterval:
@@ -118,11 +121,29 @@ class TestExperimentConfig:
         "fixture",
         [{"kind": "bogus"}, {"kind": "junta", "dist": "bogus"}, {"kind": "far", "family": "bogus"},
          {"kind": "junta", "dist": "sparse", "support_size": 0},
-         {"kind": "junta", "dist": "sparse", "support_size": 2.5}],
+         {"kind": "junta", "dist": "sparse", "support_size": 2.5},
+         {"kind": "junta", "dsit": "sparse"},
+         {"kind": "far", "family": "parity", "support_size": 8},
+         {"kind": "junta", "dist": "sparse", "support_size": 2000},
+         {"kind": "junta", "dist": "sparse", "support_size": 65},
+         {"kind": "junta", "dist": "uniform", "support_size": 8},
+         {"kind": "junta", "dist": "point_mass", "support_size": 8},
+         {"kind": "junta", "family": "parity"},
+         {"kind": "far", "dist": "uniform"}],
     )
     def test_unknown_fixture_rejected_on_construction(self, fixture):
         with pytest.raises(ValueError):
             ExperimentConfig(n=6, k=2, eps=0.25, trials=5, master_seed=1, fixture=fixture)
+
+    def test_default_support_size_is_checked(self):
+        with pytest.raises(ValueError):  # the default 64 exceeds 2^5
+            ExperimentConfig(n=5, k=2, eps=0.25, trials=5, master_seed=1,
+                             fixture={"kind": "junta", "dist": "sparse"})
+
+    def test_from_json_refuses_unknown_keys(self):
+        doc = {"n": 8, "k": 2, "eps": 0.25, "trials": 5, "master_seed": 9, "varaint": "amplified"}
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(doc)
 
     @pytest.mark.parametrize(
         "key, value", [("n", 8.7), ("k", 2.5), ("trials", 3.9), ("master_seed", 1.5),
@@ -147,7 +168,21 @@ class TestExperimentConfig:
             {"n": 6, "k": 2, "eps": 0.25, "trials": 5, "master_seed": 9}
         )
         assert config.variant.value == "classical"
-        assert config.fixture == {"kind": "junta"}
+        assert config.fixture == {"kind": "junta", "dist": "uniform"}
+
+    @pytest.mark.parametrize(
+        "defaulted, explicit",
+        [({}, {"kind": "junta", "dist": "uniform"}),
+         ({"dist": "sparse"}, {"kind": "junta", "dist": "sparse", "support_size": 64}),
+         ({"kind": "far"}, {"kind": "far", "family": "parity"})],
+    )
+    def test_defaults_give_the_explicit_spec(self, defaulted, explicit):
+        configs = [
+            ExperimentConfig(n=8, k=2, eps=0.25, trials=20, master_seed=5, fixture=spec)
+            for spec in (defaulted, explicit)
+        ]
+        assert configs[0].fixture == configs[1].fixture == explicit
+        assert run_trials(configs[0]).to_json_str() == run_trials(configs[1]).to_json_str()
 
 
 class TestRunTrials:

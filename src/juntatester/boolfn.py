@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import base64
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -25,9 +26,12 @@ class DimensionMismatchError(ValueError):
 
 
 def _number(value, name: str) -> int | float:
-    """A JSON number field as read; a bool, a string or any other type is refused."""
+    """A JSON number field as read; a bool, a string, any other type, or an
+    integer beyond the range of a float is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} is beyond the range of a float")
     return value
 
 
@@ -39,6 +43,19 @@ def _integral(value, name: str) -> int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     return value
+
+
+def _document(doc, name: str, keys: tuple[str, ...]) -> dict:
+    """A JSON document as read; anything but an object, or any key outside `keys`, is refused.
+
+    A missing key is left to the reader, which raises KeyError on it.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return doc
 
 
 def index_mask(members: Iterable[int], n: int) -> int:
@@ -250,13 +267,14 @@ class BooleanFunction:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "BooleanFunction":
-        n = _integral(doc["n"], "n")
+        n = _integral(_document(doc, "function", ("n", "table", "junta"))["n"], "n")
         if not 1 <= n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         table = _parse_bit_field(doc["table"], 1 << n)
         junta = doc.get("junta")
         if junta is None:
             return cls(n, table)
+        _document(junta, "junta block", ("vars", "inner_table"))
         vars_ = tuple(_integral(v, "junta variable") for v in junta["vars"])
         inner = _parse_bit_field(junta["inner_table"], 1 << len(vars_))
         f = cls(n, table, junta_vars=vars_, junta_inner=inner)

@@ -31,9 +31,14 @@ EXIT_RESOURCE = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+    """Invalid input: the CLI exits 2."""
+
+
+_EXIT_CODES = {
+    CliError: EXIT_VALIDATION,
+    FixtureError: EXIT_CERTIFICATION,
+    WorkCapExceededError: EXIT_RESOURCE,
+}
 
 
 def _load_json(path: str) -> dict:
@@ -66,20 +71,26 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_run(args) -> int:
-    f, dist = _load_pair(args)
-    ledger = QueryLedger()
+def _config(n: int, args, **fields) -> ExperimentConfig:
+    """The flags of `run` or `gen` as one trial's config, checked by its rules."""
     try:
-        verdict = run_tester(
-            MembershipOracle(f, ledger),
-            SampleOracle(dist, ledger),
-            args.k,
-            args.eps,
-            derive_rng(args.seed, 1),
-            args.variant,
-        )
+        return ExperimentConfig(n, args.k, args.eps, 1, args.seed, **fields)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def cmd_run(args) -> int:
+    f, dist = _load_pair(args)
+    config = _config(f.n, args, variant=args.variant)
+    ledger = QueryLedger()
+    verdict = run_tester(
+        MembershipOracle(f, ledger),
+        SampleOracle(dist, ledger),
+        config.k,
+        config.eps,
+        derive_rng(config.master_seed, 1),
+        config.variant,
+    )
     _emit(verdict.to_json())
     return EXIT_OK
 
@@ -89,13 +100,7 @@ def cmd_experiment(args) -> int:
         config = ExperimentConfig.from_json(_load_json(args.config))
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"invalid experiment config: {exc}") from exc
-    try:
-        report = run_trials(config)
-    except FixtureError as exc:
-        raise CliError(str(exc), EXIT_CERTIFICATION) from exc
-    except WorkCapExceededError as exc:
-        raise CliError(str(exc), EXIT_RESOURCE) from exc
-    _emit(report.to_json())
+    _emit(run_trials(config).to_json())
     return EXIT_OK
 
 
@@ -103,11 +108,7 @@ def cmd_distance(args) -> int:
     f, dist = _load_pair(args)
     if args.k < 0:
         raise CliError("k must be nonnegative")
-    try:
-        cert = distance_to_k_junta(f, dist, args.k)
-    except WorkCapExceededError as exc:
-        raise CliError(str(exc), EXIT_RESOURCE) from exc
-    _emit(cert.to_json())
+    _emit(distance_to_k_junta(f, dist, args.k).to_json())
     return EXIT_OK
 
 
@@ -138,18 +139,8 @@ def cmd_gen(args) -> int:
     fixture = {"kind": "junta"} if args.kind == "junta" else {"kind": "far", "family": args.kind}
     if args.support_size:
         fixture.update(dist="sparse", support_size=args.support_size)
-    try:
-        config = ExperimentConfig(
-            args.n, args.k, args.eps, trials=1, master_seed=args.seed, fixture=fixture
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
-    except FixtureError as exc:
-        raise CliError(str(exc), EXIT_CERTIFICATION) from exc
-    except WorkCapExceededError as exc:
-        raise CliError(str(exc), EXIT_RESOURCE) from exc
+    config = _config(args.n, args, fixture=fixture)
+    f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
     with open(args.out_function, "w") as fh:
         json.dump(f.to_json(), fh, sort_keys=True)
     with open(args.out_dist, "w") as fh:
@@ -165,13 +156,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _positive_float(value: str) -> float:
-    x = float(value)
-    if not 0 < x <= 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return x
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="junta-test",
@@ -183,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--variant", choices=["classical", "amplified"], default="classical")
     p.set_defaults(func=cmd_run)
@@ -212,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_positive_float, default=0.1)
+    p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--support-size", type=int, default=0)
     p.add_argument("--out-function", required=True)
@@ -232,9 +216,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

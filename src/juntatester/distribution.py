@@ -8,14 +8,14 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX, _integral, _number, class_indices
+from .boolfn import BitString, BooleanFunction, N_MAX, _document, _integral, _number, class_indices
 
 WORK_CAP = 10**9
 _NORM_TOL = 1e-9
 
 
-class WorkCapExceededError(ValueError):
-    """Raised when an exact enumeration would exceed the configured work cap."""
+class WorkCapExceededError(RuntimeError):
+    """Raised when a computation would exceed the work cap; the CLI exits 4."""
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,24 @@ class Distribution:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Distribution":
-        n = _integral(doc["n"], "n")
+        n = _integral(_document(doc, "distribution", ("n", "dense", "support"))["n"], "n")
         if not 1 <= n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
+        if ("dense" in doc) == ("support" in doc):
+            raise ValueError("a distribution has exactly one of 'dense' and 'support'")
         if "dense" in doc:
             return cls.dense(n, [_number(w, "weight") for w in doc["dense"]])
-        if "support" in doc:
-            weights = {}
-            for entry in doc["support"]:
-                x = entry["x"]
-                if not isinstance(x, str):  # a point index
-                    x = _integral(x, "support point")
-                if x in weights:
-                    raise ValueError(f"duplicate support point {x!r}")
-                weights[x] = _number(entry["w"], "weight")
-            return cls.sparse(n, weights)
-        raise ValueError("distribution document needs 'dense' or 'support'")
+        weights = {}
+        for entry in doc["support"]:
+            x = _document(entry, "support entry", ("x", "w"))["x"]
+            if not isinstance(x, str):  # a point index
+                x = _integral(x, "support point")
+                if not 0 <= x < 1 << n:
+                    raise ValueError(f"support point {x} out of range for n={n}")
+            if x in weights:
+                raise ValueError(f"duplicate support point {x!r}")
+            weights[x] = _number(entry["w"], "weight")
+        return cls.sparse(n, weights)
 
 
 @dataclass(frozen=True)

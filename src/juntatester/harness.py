@@ -13,10 +13,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX, _integral, _number
-from .distribution import DistanceCertificate, Distribution, distance_to_k_junta
+from .boolfn import BitString, BooleanFunction, N_MAX, _document, _integral, _number
+from .distribution import (
+    WORK_CAP, DistanceCertificate, Distribution, WorkCapExceededError, distance_to_k_junta
+)
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .tester import Decision, Variant, run_tester
+from .tester import ITERATION_FACTOR, Decision, Variant, run_tester
 
 RANDOM_FUNCTION_RETRIES = 100
 WILSON_Z_99 = 2.576
@@ -145,7 +147,7 @@ class ExperimentConfig:
         # {"kind": "junta", "dist": "uniform" | "point_mass"},
         # {"kind": "junta", "dist": "sparse", "support_size": N} with 1 <= N <= 2^n,
         # or {"kind": "far", "family": F}. Any other key is refused.
-        rest = dict(self.fixture)
+        rest = dict(_document(self.fixture, "fixture", ("kind", "dist", "support_size", "family")))
         kind = rest.pop("kind", "junta")
         if kind == "junta":
             spec = {"kind": kind, "dist": rest.pop("dist", "uniform")}
@@ -165,12 +167,17 @@ class ExperimentConfig:
         if rest:
             raise ValueError(f"fixture keys {list(rest)} do not apply to {spec}")
         object.__setattr__(self, "fixture", spec)
+        # The sample budget trials * ITERATION_FACTOR * k * ceil(2/eps) against
+        # the cap, in a form that a subnormal eps (2/eps = inf) cannot overflow.
+        if 2 / self.eps > WORK_CAP // (self.trials * ITERATION_FACTOR * self.k):
+            raise WorkCapExceededError(
+                f"{self.trials} trials of {ITERATION_FACTOR}*{self.k} iterations with "
+                f"ceil(2/{self.eps}) samples each exceed the work cap of {WORK_CAP}"
+            )
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
-        unknown = set(doc) - {"n", "k", "eps", "trials", "master_seed", "variant", "fixture"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _document(doc, "config", ("n", "k", "eps", "trials", "master_seed", "variant", "fixture"))
         return cls(
             n=_integral(doc["n"], "n"),
             k=_integral(doc["k"], "k"),

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, Cube
+from .boolfn import BitString, BooleanFunction, Cube, index_mask
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
 from .quantum import amplified_generate_cube, first_relevant_attempt, fourier_sample
 
@@ -63,23 +63,22 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TesterState:
-    """Immutable snapshot of (S, cubes) plus the corner values and trace.
+    """Immutable snapshot of (S, cubes), the corner bit ``fx`` and the trace.
 
-    ``corner_values[i]`` caches (f(x), f(y)) for ``cubes[i]`` so iterations
-    stay within their two-query budget.
+    Every queued cube has f(x) = ``fx`` and f(y) = 1 - ``fx``: a cube is
+    generated only when the queue is empty, and a split keeps the corner
+    values of both halves. So one bit, read when the cube is generated, keeps
+    each iteration within its two-query budget. ``fx`` is 0 when the queue is
+    empty.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     s: frozenset[int] = frozenset()
     cubes: tuple[Cube, ...] = ()
-    corner_values: tuple[tuple[int, int], ...] = ()
+    fx: int = 0
     iteration: int = 0
     trace: tuple[TraceRecord, ...] = ()
-
-    @property
-    def potential(self) -> int:
-        return 2 * len(self.s) + len(self.cubes)
 
 
 @dataclass(frozen=True)
@@ -119,13 +118,17 @@ def generate_cube(
     return None if hit is None else hit[1]
 
 
-def _record(state: TesterState, action: TraceAction, **changes) -> TesterState:
-    """The next state: `changes` applied, the iteration counted and traced."""
-    parts = {"s": state.s, "cubes": state.cubes, "corner_values": state.corner_values, **changes}
+def _record(
+    state: TesterState, action: TraceAction, s: frozenset[int], cubes: tuple[Cube, ...], fx: int
+) -> TesterState:
+    """The next state (S, cubes, fx) after `state`, its iteration counted and traced.
+
+    The one place a next state or a trace record is built. `fx` is dropped
+    to 0 with an empty queue, so equal (S, cubes) give equal states.
+    """
     iteration = state.iteration + 1
-    s_size, num_cubes = len(parts["s"]), len(parts["cubes"])
-    rec = TraceRecord(iteration, action, 2 * s_size + num_cubes, s_size, num_cubes)
-    return TesterState(iteration=iteration, trace=state.trace + (rec,), **parts)
+    rec = TraceRecord(iteration, action, 2 * len(s) + len(cubes), len(s), len(cubes))
+    return TesterState(s, cubes, fx if cubes else 0, iteration, state.trace + (rec,))
 
 
 def step(
@@ -141,64 +144,36 @@ def step(
     variant = Variant(variant)
     if len(state.s) + len(state.cubes) > k:
         raise ValueError("step called past the loop exit condition")
+    s, cubes, fx = state.s, state.cubes, state.fx
 
-    if not state.cubes:
+    if not cubes:
         if variant is Variant.AMPLIFIED:
-            cube = amplified_generate_cube(oracle, samples, state.s, eps, rng)
+            cube = amplified_generate_cube(oracle, samples, s, eps, rng)
         else:
-            cube = generate_cube(oracle, samples, state.s, eps, rng)
+            cube = generate_cube(oracle, samples, s, eps, rng)
         if cube is None:
-            return _record(state, TraceAction.GENERATE_FAILED)
-        fx = oracle.query(cube.x)
-        return _record(
-            state,
-            TraceAction.GENERATED_CUBE,
-            cubes=(cube,),
-            corner_values=((fx, 1 - fx),),
-        )
+            return _record(state, TraceAction.GENERATE_FAILED, s, (), 0)
+        return _record(state, TraceAction.GENERATED_CUBE, s, (cube,), oracle.query(cube.x))
 
-    cube = state.cubes[0]
-    fx, fy = state.corner_values[0]
-    rest_cubes = state.cubes[1:]
-    rest_values = state.corner_values[1:]
-
+    cube, rest = cubes[0], cubes[1:]
     subset = fourier_sample(oracle, cube, rng)
     if subset:
-        return _record(
-            state,
-            TraceAction.FOURIER_NONEMPTY,
-            s=state.s | subset,
-            cubes=rest_cubes,
-            corner_values=rest_values,
-        )
+        return _record(state, TraceAction.FOURIER_NONEMPTY, s | subset, rest, fx)
 
     positions = sorted(cube.disagreement)
     pick = int(rng.integers(0, 1 << len(positions)))
-    tmask = 0
-    for j, i in enumerate(positions):
-        if pick >> j & 1:
-            tmask |= 1 << (i - 1)
+    tmask = index_mask((i for j, i in enumerate(positions) if pick >> j & 1), cube.n)
     z = BitString(cube.n, cube.x.value ^ tmask)
     t = BitString(cube.n, cube.y.value ^ tmask)
     fz = oracle.query(z)
     ft = oracle.query(t)
-
-    if fz == ft:
-        if fz == fy:  # split toward corner x
-            new_cubes = (Cube(cube.x, z), Cube(cube.x, t))
-            new_values = ((fx, fz), (fx, ft))
-            action = TraceAction.SPLIT_TOWARD_X
-        else:  # fz == ft == fx: split toward corner y
-            new_cubes = (Cube(z, cube.y), Cube(t, cube.y))
-            new_values = ((fz, fy), (ft, fy))
-            action = TraceAction.SPLIT_TOWARD_Y
-        return _record(
-            state,
-            action,
-            cubes=rest_cubes + new_cubes,
-            corner_values=rest_values + new_values,
-        )
-    return _record(state, TraceAction.NO_PROGRESS)
+    if fz != ft:
+        return _record(state, TraceAction.NO_PROGRESS, s, cubes, fx)
+    if fz != fx:  # f(z) = f(t) = f(y): split toward corner x
+        halves = (Cube(cube.x, z), Cube(cube.x, t))
+        return _record(state, TraceAction.SPLIT_TOWARD_X, s, rest + halves, fx)
+    halves = (Cube(z, cube.y), Cube(t, cube.y))  # f(z) = f(t) = f(x)
+    return _record(state, TraceAction.SPLIT_TOWARD_Y, s, rest + halves, fx)
 
 
 def run_tester(
@@ -234,11 +209,14 @@ def run_tester(
 def check_invariants(state: TesterState, f: BooleanFunction) -> bool:
     """White-box check of the state invariants (test-only; bypasses the ledger).
 
-    Verifies that all of S is relevant, every stored cube is relevant and
-    nondegenerate, and S and the cube disagreement sets are pairwise disjoint.
+    Verifies that all of S is relevant, every stored cube is nondegenerate
+    with f(x) = fx and f(y) = 1 - fx, fx is 0 with an empty queue, and S and
+    the cube disagreement sets are pairwise disjoint.
     """
     relevant = f.relevant_variables()
     if not state.s <= relevant:
+        return False
+    if state.fx and not state.cubes:
         return False
     seen = set(state.s)
     for cube in state.cubes:
@@ -248,6 +226,6 @@ def check_invariants(state: TesterState, f: BooleanFunction) -> bool:
         if seen & dis:
             return False
         seen |= dis
-        if f.eval(cube.x) == f.eval(cube.y):
+        if (f.eval(cube.x), f.eval(cube.y)) != (state.fx, 1 - state.fx):
             return False
     return True

@@ -1,9 +1,15 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from juntatester import cli
 from juntatester.boolfn import BooleanFunction
 from juntatester.cli import main
 from juntatester.distribution import Distribution
@@ -409,12 +415,44 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
         (["experiment"], {**GOOD_CONFIG, "n": 5, "fixture": {"kind": "junta", "dist": "sparse"}}),
         (["spectrum", "--cube-x", "000", "--cube-y", "011"],
          {"n": 3, "table": "01010101", "junta": {"vars": [1, 1], "inner_table": "0111"}}),
+        # Each case from here on exited 0, raised, or exited 2 without one
+        # `error:` line naming the problem. A (file, text) pair gives the text
+        # that the error line must hold.
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101", "tabel": 1}, "['tabel']")),
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         ([{"n": 3, "table": "01010101"}], "function must be a JSON object")),
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101", "junta": [[1], "01"]}, "junta block must be a JSON object")),
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101", "junta": {"vars": [1], "inner_table": "01", "q": 0}},
+          "['q']")),
+        (["distance", "--k", "1"],
+         ({"n": 2, "dense": [1, 1, 1, 1], "support": [{"x": "00", "w": 1}]},
+          "exactly one of 'dense' and 'support'")),
+        (["distance", "--k", "1"], ({"n": 2, "dense": [1, 1, 1, 1], "denes": [1]}, "['denes']")),
+        (["distance", "--k", "1"], ({"n": 2, "support": [{"x": "00", "w": 1, "q": 0}]}, "['q']")),
+        (["distance", "--k", "1"],
+         ([{"n": 2, "dense": [1, 1, 1, 1]}], "distribution must be a JSON object")),
+        (["distance", "--k", "1"],
+         ({"n": 2, "support": [["00", 1]]}, "support entry must be a JSON object")),
+        (["distance", "--k", "1"], ({"n": 2, "support": [{"x": 10**30, "w": 1}]}, "out of range")),
+        (["distance", "--k", "1"], ({"n": 2, "dense": [10**400, 1, 1, 1]}, "range of a float")),
+        (["experiment"], ([1, 2], "config must be a JSON object")),
+        (["experiment"], ({**GOOD_CONFIG, "fixture": ["kind", "junta"]}, "fixture must be a JSON object")),
+        (["experiment"], ({**GOOD_CONFIG, "fixture": "junta"}, "fixture must be a JSON object")),
+        (["experiment"], ({**GOOD_CONFIG, "eps": 10**400}, "range of a float")),
+        (["run", "--k", "2", "--eps", "2", "--seed", "1"],
+         ({"n": 8, "dense": [1] * 256}, "eps must be in (0, 1]")),
+        (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--eps", "0"], None),
     ],
 )
-def test_exit_code_matrix(capsys, tmp_path, argv, config):
-    """Bad gen arguments, experiment configs and function files exit 2 before
-    anything is built. `config` is the file the command reads: an experiment
-    config, or the function file of `spectrum`."""
+def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
+    """Bad gen arguments, run flags and input files exit 2 before anything is
+    built. `config` is the file the command reads: an experiment config, the
+    function file of `spectrum`, or the distribution file of `run` and
+    `distance`, whose function is the parity on n=8 of `parity_files`."""
+    config, names = config if isinstance(config, tuple) else (config, "")
     if config is None:
         if "--seed" not in argv:
             argv = argv + ["--seed", "1"]
@@ -422,9 +460,125 @@ def test_exit_code_matrix(capsys, tmp_path, argv, config):
                        "--out-dist", str(tmp_path / "d.json")]
     else:
         (tmp_path / "in.json").write_text(json.dumps(config))
-        flag = "--config" if argv[0] == "experiment" else "--function"
+        flag = {"experiment": "--config", "spectrum": "--function"}.get(argv[0], "--dist")
         argv = argv + [flag, str(tmp_path / "in.json")]
+        if flag == "--dist":
+            argv += ["--function", parity_files[0]]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
     assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["experiment"], {**GOOD_CONFIG, "trials": 10**30}),
+        (["experiment"], {**GOOD_CONFIG, "eps": 1e-20}),
+        (["run", "--k", "2", "--eps", "1e-20", "--seed", "1"], None),
+    ],
+)
+def test_work_cap_exits_4(capsys, monkeypatch, tmp_path, junta_files, argv, config):
+    """A sample budget past the work cap exits 4 before any trial runs."""
+    def never(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trials", never)
+    monkeypatch.setattr(cli, "run_tester", never)
+    if config is None:
+        argv = argv + ["--function", junta_files[0], "--dist", junta_files[1]]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "work cap" in err
+
+
+# Valid documents on n=4 for the fuzz below: the function, distribution and
+# config formats, each with and without its optional parts.
+FUZZ_DOCS = {
+    "function": [
+        BooleanFunction.from_junta(4, [1, 3], [0, 1, 1, 0]).to_json(),
+        {"n": 4, "table": "0110100110010110"},
+    ],
+    "dist": [
+        {"n": 4, "dense": [1.0] * 8 + [2] * 8},
+        {"n": 4, "support": [{"x": "1010", "w": 2}, {"x": 5, "w": 0.5}]},
+    ],
+    "config": [
+        {"n": 4, "k": 1, "eps": 0.5, "trials": 2, "master_seed": 1, "variant": "amplified",
+         "fixture": {"kind": "junta", "dist": "sparse", "support_size": 4}},
+        {"n": 4, "k": 1, "eps": 0.5, "trials": 2, "master_seed": 1,
+         "fixture": {"kind": "far", "family": "planted"}},
+    ],
+}
+# string, list, object, null, bool, fraction, negative, large, an integer
+# beyond the float range, and the largest float
+FUZZ_VALUES = ["1", [1], {"n": 1}, None, True, 0.5, -1, 10**30, 10**400, 1e308]
+FUZZ_ARGV = {
+    "run": ["--k", "1", "--eps", "0.5", "--seed", "3"],
+    "distance": ["--k", "1"],
+    "spectrum": ["--cube-x", "0000", "--cube-y", "1011"],
+    "experiment": [],
+}
+
+
+def _paths(doc, path=()):
+    """The path of `doc` itself and of every value nested in it."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_command(draw):
+    """A command and its input files, one of them mutated at one path: a key
+    or list entry dropped, a key renamed, or a value retyped."""
+    command = draw(st.sampled_from(sorted(FUZZ_ARGV)))
+    names = {"run": ["function", "dist"], "distance": ["function", "dist"],
+             "spectrum": ["function"], "experiment": ["config"]}[command]
+    docs = {name: copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS[name]))) for name in names}
+    target = draw(st.sampled_from(names))
+    path = draw(st.sampled_from(list(_paths(docs[target]))))
+    op = draw(st.sampled_from(["drop", "rename", "retype"] if path else ["retype"]))
+    value = draw(st.sampled_from(FUZZ_VALUES))
+    if not path:
+        docs[target] = value
+    else:
+        parent = docs[target]
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "rename" and isinstance(parent, dict):
+            parent[f"{path[-1]}x"] = parent.pop(path[-1])
+        else:
+            parent[path[-1]] = value
+    return command, docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_command())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, case):
+    """Whatever one mutation does to a valid document, the command exits 0, 2,
+    3 or 4, a non-zero exit prints one `error:` line and nothing else, and
+    nothing raises."""
+    command, docs = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    argv = [command, *FUZZ_ARGV[command]]
+    for name, doc in docs.items():
+        (folder / name).write_text(json.dumps(doc))
+        argv += [f"--{name}", str(folder / name)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from juntatester.boolfn import BooleanFunction
-from juntatester.distribution import distance_to_k_junta
+from juntatester.distribution import WORK_CAP, WorkCapExceededError, distance_to_k_junta
 from juntatester.harness import (
     ExperimentConfig,
     FixtureError,
@@ -116,6 +116,15 @@ class TestExperimentConfig:
             ExperimentConfig(n=4, k=2, eps=0.5, trials=0, master_seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=4, k=2, eps=0.5, trials=10, master_seed=-5)
+
+    def test_work_cap_bounds_the_sample_budget(self):
+        # a trial draws at most ITERATION_FACTOR * k * ceil(2/eps) = 18 * 2 * 8 samples
+        most = WORK_CAP // (18 * 2 * 8)
+        ExperimentConfig(n=6, k=2, eps=0.25, trials=most, master_seed=1)
+        with pytest.raises(WorkCapExceededError):
+            ExperimentConfig(n=6, k=2, eps=0.25, trials=most + 1, master_seed=1)
+        with pytest.raises(WorkCapExceededError):  # 2/eps is inf
+            ExperimentConfig(n=6, k=2, eps=5e-324, trials=1, master_seed=1)
 
     @pytest.mark.parametrize(
         "fixture",

@@ -35,10 +35,11 @@ def make_oracles(f, dist):
 
 
 def state_with_cube(f, cube):
-    return TesterState(
-        cubes=(cube,),
-        corner_values=((f.eval(cube.x), f.eval(cube.y)),),
-    )
+    return TesterState(cubes=(cube,), fx=f.eval(cube.x))
+
+
+def potential(state):
+    return 2 * len(state.s) + len(state.cubes)
 
 
 class TestGenerateCube:
@@ -106,12 +107,12 @@ class TestStep:
         f = BooleanFunction.parity(4, [1, 2, 3])
         cube = Cube(BitString.from_str("0000"), BitString.from_str("1110"))
         state = state_with_cube(f, cube)
-        before = state.potential
+        before = potential(state)
         new = step(state, *make_oracles(f, Distribution.uniform(4))[:2], 3, 0.5,
                    np.random.default_rng(1))
         assert new.trace[-1].action is TraceAction.FOURIER_NONEMPTY
         assert new.s == {1, 2, 3} and new.cubes == ()
-        assert new.potential - before == 2 * 3 - 1
+        assert new.trace[-1].potential - before == 2 * 3 - 1
 
     def test_or_like_restriction_action_frequencies(self):
         # f on the full 2-cube: value 1 only at corner x=00 (f(y)=0 elsewhere).
@@ -159,9 +160,10 @@ class TestStep:
         for _ in range(30):
             if len(state.s) + len(state.cubes) > 4:
                 break
-            before = state.potential
+            before = potential(state)
             state = step(state, mo, so, 4, 0.25, rng)
-            delta = state.potential - before
+            assert state.trace[-1].potential == potential(state)
+            delta = potential(state) - before
             assert delta >= 0
             assert delta == 0 or delta == 1 or delta % 2 == 1
 
@@ -326,15 +328,23 @@ class TestCheckInvariants:
     def test_overlap_between_s_and_cube(self):
         f = BooleanFunction.parity(4, [1, 2])
         cube = Cube(BitString.from_str("0000"), BitString.from_str("1000"))
-        state = TesterState(
-            s=frozenset({1}),
-            cubes=(cube,),
-            corner_values=((0, 1),),
-        )
+        state = TesterState(s=frozenset({1}), cubes=(cube,), fx=0)
         assert not check_invariants(state, f)
 
     def test_degenerate_cube_fails(self):
         f = BooleanFunction.parity(3, [1])
         x = BitString.from_str("000")
-        state = TesterState(cubes=(Cube(x, x),), corner_values=((0, 0),))
+        state = TesterState(cubes=(Cube(x, x),), fx=0)
         assert not check_invariants(state, f)
+
+    def test_corner_bit_must_match_every_cube(self):
+        f = BooleanFunction.parity(3, [1, 2])
+        first = Cube(BitString.from_str("000"), BitString.from_str("100"))
+        second = Cube(BitString.from_str("000"), BitString.from_str("010"))
+        flipped = Cube(second.y, second.x)  # relevant, but f(x) = 1
+        assert check_invariants(TesterState(cubes=(first, second), fx=0), f)
+        assert not check_invariants(TesterState(cubes=(first, second), fx=1), f)
+        assert not check_invariants(TesterState(cubes=(first, flipped), fx=0), f)
+
+    def test_corner_bit_is_zero_with_an_empty_queue(self):
+        assert not check_invariants(TesterState(fx=1), constant(3, 0))

@@ -45,17 +45,25 @@ def _integral(value, name: str) -> int:
     return value
 
 
-def _document(doc, name: str, keys: tuple[str, ...]) -> dict:
-    """A JSON document as read; anything but an object, or any key outside `keys`, is refused.
-
-    A missing key is left to the reader, which raises KeyError on it.
-    """
+def _document(doc, name: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """A JSON document as read; anything but an object, a missing `required`
+    key, or any key outside `required` and `optional`, is refused."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(keys)
+    unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{name} is missing key {key!r}")
     return doc
+
+
+def _list(value, name: str) -> list:
+    """A JSON list field as read; any other type is refused."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def index_mask(members: Iterable[int], n: int) -> int:
@@ -171,7 +179,7 @@ def _parse_bit_field(value: str, size: int) -> np.ndarray:
     return bits[:size].astype(np.uint8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hash: the fields are arrays
 class BooleanFunction:
     """A total function {0,1}^n -> {0,1} held as a dense truth table.
 
@@ -267,7 +275,7 @@ class BooleanFunction:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "BooleanFunction":
-        n = _integral(_document(doc, "function", ("n", "table", "junta"))["n"], "n")
+        n = _integral(_document(doc, "function", ("n", "table"), ("junta",))["n"], "n")
         if not 1 <= n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         table = _parse_bit_field(doc["table"], 1 << n)
@@ -275,7 +283,7 @@ class BooleanFunction:
         if junta is None:
             return cls(n, table)
         _document(junta, "junta block", ("vars", "inner_table"))
-        vars_ = tuple(_integral(v, "junta variable") for v in junta["vars"])
+        vars_ = tuple(_integral(v, "junta variable") for v in _list(junta["vars"], "junta vars"))
         inner = _parse_bit_field(junta["inner_table"], 1 << len(vars_))
         f = cls(n, table, junta_vars=vars_, junta_inner=inner)
         if not f.check_junta_backing():
@@ -290,25 +298,28 @@ def cube_point_indices(cube: Cube) -> tuple[tuple[int, ...], np.ndarray]:
     the j-th smallest element of I(B).
     """
     positions = tuple(sorted(cube.disagreement))
-    idx = np.array([cube.x.value], dtype=np.int64)
-    for i in positions:
-        idx = np.concatenate([idx, idx ^ (1 << (i - 1))])
+    idx = np.empty(1 << len(positions), dtype=np.int64)
+    idx[0] = cube.x.value
+    for j, i in enumerate(positions):
+        np.bitwise_xor(idx[: 1 << j], 1 << (i - 1), out=idx[1 << j : 2 << j])
     return positions, idx
 
 
 def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
-    """Unnormalized in-place butterfly transform; output[S] = sum_T (-1)^{|S&T|} v[T]."""
+    """Unnormalized transform of a copy of `values`, one half-size temporary per
+    in-place butterfly; output[S] = sum_T (-1)^{|S&T|} v[T]."""
     v = np.array(values, dtype=np.float64)
     size = v.size
     if size & (size - 1):
         raise ValueError("length must be a power of two")
     h = 1
     while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        right = v[:, h:].copy()
-        v[:, :h] = left + right
-        v[:, h:] = left - right
+        blocks = v.reshape(-1, 2 * h)
+        left, right = blocks[:, :h], blocks[:, h:]
+        total = left + right
+        np.subtract(left, right, out=right)
+        left[...] = total
+        del total
         h *= 2
     return v.reshape(-1)
 
@@ -341,7 +352,10 @@ def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     if cube.n != f.n:
         raise DimensionMismatchError(f"cube dimension {cube.n} != {f.n}")
     positions, idx = cube_point_indices(cube)
-    signs = 1.0 - 2.0 * f.table[idx].astype(np.float64)
-    coeffs = walsh_hadamard(signs) / signs.size
+    signs = np.multiply(f.table[idx], -2.0)
+    del idx
+    signs += 1.0  # 1 - 2 f(x^T), bit for bit
+    coeffs = walsh_hadamard(signs)
+    coeffs /= coeffs.size
     return RestrictedSpectrum(positions=positions, coefficients=coeffs)
 

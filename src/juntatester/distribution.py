@@ -8,7 +8,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX, _document, _integral, _number, class_indices
+from .boolfn import (
+    BitString, BooleanFunction, N_MAX, _document, _integral, _list, _number, class_indices
+)
 
 WORK_CAP = 10**9
 _NORM_TOL = 1e-9
@@ -18,7 +20,7 @@ class WorkCapExceededError(RuntimeError):
     """Raised when a computation would exceed the work cap; the CLI exits 4."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hash: the fields are arrays
 class Distribution:
     """A probability distribution over {0,1}^n with explicit support.
 
@@ -116,15 +118,15 @@ class Distribution:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Distribution":
-        n = _integral(_document(doc, "distribution", ("n", "dense", "support"))["n"], "n")
+        n = _integral(_document(doc, "distribution", ("n",), ("dense", "support"))["n"], "n")
         if not 1 <= n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         if ("dense" in doc) == ("support" in doc):
             raise ValueError("a distribution has exactly one of 'dense' and 'support'")
         if "dense" in doc:
-            return cls.dense(n, [_number(w, "weight") for w in doc["dense"]])
+            return cls.dense(n, [_number(w, "weight") for w in _list(doc["dense"], "dense")])
         weights = {}
-        for entry in doc["support"]:
+        for entry in _list(doc["support"], "support"):
             x = _document(entry, "support entry", ("x", "w"))["x"]
             if not isinstance(x, str):  # a point index
                 x = _integral(x, "support point")

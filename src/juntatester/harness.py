@@ -147,7 +147,8 @@ class ExperimentConfig:
         # {"kind": "junta", "dist": "uniform" | "point_mass"},
         # {"kind": "junta", "dist": "sparse", "support_size": N} with 1 <= N <= 2^n,
         # or {"kind": "far", "family": F}. Any other key is refused.
-        rest = dict(_document(self.fixture, "fixture", ("kind", "dist", "support_size", "family")))
+        keys = ("kind", "dist", "support_size", "family")
+        rest = dict(_document(self.fixture, "fixture", (), keys))
         kind = rest.pop("kind", "junta")
         if kind == "junta":
             spec = {"kind": kind, "dist": rest.pop("dist", "uniform")}
@@ -177,7 +178,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
-        _document(doc, "config", ("n", "k", "eps", "trials", "master_seed", "variant", "fixture"))
+        required = ("n", "k", "eps", "trials", "master_seed")
+        _document(doc, "config", required, ("variant", "fixture"))
         return cls(
             n=_integral(doc["n"], "n"),
             k=_integral(doc["k"], "k"),

@@ -13,6 +13,7 @@ oracle reflections succeeds with probability sin^2((2r+1) arcsin(sqrt(p))).
 
 from __future__ import annotations
 
+import weakref
 from math import asin, ceil, sin, sqrt
 from typing import Optional
 
@@ -52,19 +53,28 @@ def fourier_sample_many(
     if count < 1:
         raise ValueError("count must be positive")
     spectrum = restricted_spectrum(oracle.function, cube)
-    probs = spectrum.squared()
-    cum = np.cumsum(probs / probs.sum())  # shed float drift; exact mass is 1
+    cum = spectrum.squared()
+    cum /= cum.sum()  # shed float drift; exact mass is 1
+    np.cumsum(cum, out=cum)
     oracle.charge_quantum(count)
-    masks = np.minimum(
-        np.searchsorted(cum, rng.random(count), side="right"), probs.size - 1
-    )
+    masks = np.minimum(np.searchsorted(cum, rng.random(count), side="right"), cum.size - 1)
     return [spectrum.subset_for_mask(int(m)) for m in masks]
+
+
+# dist -> f -> {(kind, S): value}, keyed by identity: an entry dies with f or D.
+# `run_tester` reaches it from the oracles alone, however its caller built them.
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo(f: BooleanFunction, dist: Distribution) -> dict:
+    """The memo of values that depend only on (f, D, S), filled on first use."""
+    return _MEMO.setdefault(dist, weakref.WeakKeyDictionary()).setdefault(f, {})
 
 
 def attempt_success_probability(
     f: BooleanFunction, dist: Distribution, fixed: frozenset[int] | set[int]
 ) -> float:
-    """Exact Pr_{x~D, T ⊆ [n]\\S}[f(x) != f(x^T)] for S = `fixed`.
+    """Exact Pr_{x~D, T ⊆ [n]\\S}[f(x) != f(x^T)] for S = `fixed`, memoized per (f, D).
 
     For x with a given restriction to S, the points x^T sweep uniformly over
     the subcube that agrees with x on S, so the inner probability depends only
@@ -73,6 +83,9 @@ def attempt_success_probability(
     n = f.n
     if dist.n != n:
         raise ValueError(f"distribution dimension {dist.n} != {n}")
+    memo, key = _memo(f, dist), ("p", frozenset(fixed))
+    if key in memo:
+        return memo[key]
     vars_ = tuple(sorted(fixed))
     proj = class_indices(n, vars_)
     classes = 1 << len(vars_)
@@ -80,7 +93,30 @@ def attempt_success_probability(
     mean = np.bincount(proj, weights=table, minlength=classes) / (1 << (n - len(vars_)))
     fx = table[dist.support]
     mu = mean[proj[dist.support]]
-    return float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
+    memo[key] = float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
+    return memo[key]
+
+
+def _absorbing(f: BooleanFunction, dist: Distribution, fixed: frozenset[int]) -> bool:
+    """True when f is constant on the S-class of every support point of D, S = `fixed`:
+    then p = 0 and every cube search fails. A zero-weight point counts too, as
+    `Distribution.sample_indices` can return a zero-weight last entry. uint8
+    tables of shape (2,)*n (variable v is axis n - v) are reduced over the free
+    axes, with no 2^n-sized int64 or float64 temporary. Memoized like p.
+    """
+    memo, key = _memo(f, dist), ("absorbing", frozenset(fixed))
+    if key in memo:
+        return memo[key]
+    n = f.n
+    free = tuple(n - v for v in range(1, n + 1) if v not in fixed)
+    table = f.table.reshape((2,) * n)
+    mixed = table.max(axis=free) != table.min(axis=free)  # f non-constant on the class
+    if mixed.any():
+        marked = np.zeros(1 << n, dtype=np.uint8)
+        marked[dist.support] = 1
+        mixed &= marked.reshape((2,) * n).max(axis=free).astype(bool)
+    memo[key] = not mixed.any()
+    return memo[key]
 
 
 def first_relevant_attempt(

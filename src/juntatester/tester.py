@@ -17,7 +17,8 @@ import numpy as np
 
 from .boolfn import BitString, BooleanFunction, Cube, index_mask
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .quantum import amplified_generate_cube, first_relevant_attempt, fourier_sample
+from .quantum import _absorbing, amplification_schedule, amplified_generate_cube
+from .quantum import first_relevant_attempt, fourier_sample
 
 ITERATION_FACTOR = 18
 
@@ -189,7 +190,9 @@ def run_tester(
     Accepts iff |S| + |cubes| <= k after at most ITERATION_FACTOR*k loop
     iterations. For a k-junta the verdict is accept with certainty; for a
     function eps-far from every k-junta under D it is reject with probability
-    at least 1/2.
+    at least 1/2. Once a cube search fails from an S from which none can
+    succeed, the remaining iterations are charged and traced at once, and
+    `rng` is left where that search left it.
     """
     n = oracle.function.n
     if not 1 <= k < n:
@@ -197,9 +200,21 @@ def run_tester(
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     variant = Variant(variant)
+    cap = ITERATION_FACTOR * k
     state = TesterState()
-    while state.iteration < ITERATION_FACTOR * k and len(state.s) + len(state.cubes) <= k:
+    while state.iteration < cap and len(state.s) + len(state.cubes) <= k:
         state = step(state, oracle, samples, k, eps, rng, variant)
+        rest = cap - state.iteration
+        if (rest and state.trace[-1].action is TraceAction.GENERATE_FAILED
+                and _absorbing(oracle.function, samples.distribution, state.s)):
+            # each remaining iteration is a failed cube search: p = 0 here
+            if variant is Variant.AMPLIFIED:
+                oracle.charge_quantum(rest * sum(amplification_schedule(eps)[0]))
+            else:
+                samples.note_samples(rest * ceil(2 / eps))
+                oracle.note_classical(2 * rest * ceil(2 / eps))
+            for _ in range(rest):
+                state = _record(state, TraceAction.GENERATE_FAILED, state.s, (), 0)
     decision = (
         Decision.REJECT if len(state.s) + len(state.cubes) > k else Decision.ACCEPT
     )

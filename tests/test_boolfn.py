@@ -184,6 +184,31 @@ class TestCubes:
             Cube(BitString(2, 0), BitString(3, 0))
 
 
+def reference_walsh_hadamard(values):
+    """The transform before its butterflies ran in place: two half copies per level."""
+    v = np.array(values, dtype=np.float64)
+    h = 1
+    while h < v.size:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        right = v[:, h:].copy()
+        v[:, :h] = left + right
+        v[:, h:] = left - right
+        h *= 2
+    return v.reshape(-1)
+
+
+def reference_spectrum(f, cube):
+    """The restricted spectrum built out of place: point indices by concatenation,
+    signs as 1 - 2f, the copying transform, then one division."""
+    positions = tuple(sorted(cube.disagreement))
+    idx = np.array([cube.x.value], dtype=np.int64)
+    for i in positions:
+        idx = np.concatenate([idx, idx ^ (1 << (i - 1))])
+    signs = 1.0 - 2.0 * f.table[idx].astype(np.float64)
+    return positions, idx, reference_walsh_hadamard(signs) / signs.size
+
+
 class TestWalshHadamard:
     def test_against_definition(self):
         rng = np.random.default_rng(3)
@@ -196,6 +221,18 @@ class TestWalshHadamard:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             walsh_hadamard([1.0, 2.0, 3.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_bits_match_the_reference(self, m, seed):
+        """Same bits as the out-of-place transform, signed zeros included; the
+        input is left as it was."""
+        rng = np.random.default_rng(seed)
+        v = rng.choice([-1.0, -0.0, 0.0, 1.0, 0.5, -3.25, 1e-300], size=1 << m)
+        v[rng.random(v.size) < 0.5] = rng.standard_normal()
+        before = v.tobytes()
+        assert walsh_hadamard(v).tobytes() == reference_walsh_hadamard(v).tobytes()
+        assert v.tobytes() == before
 
 
 class TestRestrictedSpectrum:
@@ -267,6 +304,20 @@ class TestRestrictedSpectrum:
             for mask in range(sp.coefficients.size):
                 if abs(sp.coefficients[mask]) > TOL:
                     assert sp.subset_for_mask(mask) <= relevant
+
+    @settings(max_examples=100, deadline=None)
+    @given(functions(), st.integers(0, 2**32 - 1))
+    def test_bits_match_the_reference(self, f, seed):
+        """The printed coefficients keep every bit, the sign of zero included."""
+        rng = np.random.default_rng(seed)
+        cube = Cube(BitString(f.n, int(rng.integers(0, 1 << f.n))),
+                    BitString(f.n, int(rng.integers(0, 1 << f.n))))
+        positions, idx, coeffs = reference_spectrum(f, cube)
+        assert cube_point_indices(cube)[0] == positions
+        assert cube_point_indices(cube)[1].tobytes() == idx.tobytes()
+        sp = restricted_spectrum(f, cube)
+        assert sp.positions == positions
+        assert sp.coefficients.tobytes() == coeffs.tobytes()
 
     def test_corner_convention_is_immaterial_for_squares(self):
         rng = np.random.default_rng(29)

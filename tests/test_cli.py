@@ -445,6 +445,22 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
         (["run", "--k", "2", "--eps", "2", "--seed", "1"],
          ({"n": 8, "dense": [1] * 256}, "eps must be in (0, 1]")),
         (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--eps", "0"], None),
+        (["spectrum", "--cube-x", "00", "--cube-y", "11"],
+         ({"n": 2}, "function is missing key 'table'")),
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101", "junta": {"vars": [1]}},
+          "junta block is missing key 'inner_table'")),
+        (["distance", "--k", "1"],
+         ({"n": 2, "support": [{"x": "00"}]}, "support entry is missing key 'w'")),
+        (["experiment"],
+         ({key: v for key, v in GOOD_CONFIG.items() if key != "eps"},
+          "config is missing key 'eps'")),
+        (["distance", "--k", "1"], ({"n": 2, "dense": 5}, "dense must be a JSON list, got int")),
+        (["spectrum", "--cube-x", "000", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101", "junta": {"vars": 5, "inner_table": "01"}},
+          "junta vars must be a JSON list, got int")),
+        (["distance", "--k", "1"],
+         ({"n": 2, "support": {"x": "00", "w": 1}}, "support must be a JSON list, got dict")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):

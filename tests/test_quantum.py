@@ -1,16 +1,23 @@
+import gc
 import itertools
+import tracemalloc
+import weakref
 from math import ceil, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from juntatester import quantum
 from juntatester.boolfn import (
-    BitString, BooleanFunction, Cube, cube_point_indices, restricted_spectrum
+    BitString, BooleanFunction, Cube, class_indices, cube_point_indices, restricted_spectrum
 )
 from juntatester.distribution import Distribution
 from juntatester.oracles import MembershipOracle, QueryLedger, SampleOracle
 from juntatester.quantum import (
     DegenerateCubeError,
+    _absorbing,
     amplification_schedule,
     amplified_generate_cube,
     attempt_success_probability,
@@ -35,6 +42,129 @@ def brute_force_attempt_probability(f, dist, fixed):
                 hits += 1
         total += p * hits / (1 << len(free))
     return total
+
+
+def reference_attempt_probability(f, dist, fixed):
+    """The formula of `attempt_success_probability`, recomputed with no memo."""
+    vars_ = tuple(sorted(fixed))
+    proj = class_indices(f.n, vars_)
+    table = f.table.astype(np.float64)
+    mean = np.bincount(proj, weights=table, minlength=1 << len(vars_)) / (
+        1 << (f.n - len(vars_))
+    )
+    fx = table[dist.support]
+    mu = mean[proj[dist.support]]
+    return float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
+
+
+def brute_force_absorbing(f, dist, fixed):
+    """No support point x, whatever its weight, and no T ⊆ [n]\\S with f(x) != f(x^T)."""
+    free = [v for v in range(1, f.n + 1) if v not in fixed]
+    tmasks = np.array([sum(1 << (v - 1) for v, b in zip(free, bits) if b)
+                       for bits in itertools.product([0, 1], repeat=len(free))])
+    return all(np.all(f.table[x ^ tmasks] == f.table[x]) for x in dist.support)
+
+
+@st.composite
+def fixtures_with_sets(draw):
+    """(f, D, S) on n <= 6: a junta or a random table; a sparse D whose weights
+    may be 0, the last one included."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        variables = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+        inner = draw(st.lists(st.integers(0, 1), min_size=1 << len(variables),
+                              max_size=1 << len(variables)))
+        f = BooleanFunction.from_junta(n, variables, inner)
+    else:
+        f = BooleanFunction(n, np.array(draw(st.lists(st.integers(0, 1), min_size=1 << n,
+                                                       max_size=1 << n))))
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n,
+                            unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(support), max_size=len(support))
+                   .filter(any))
+    fixed = draw(st.sets(st.integers(1, n)))
+    return f, Distribution(n, support, weights), frozenset(fixed)
+
+
+class TestAbsorbing:
+    @settings(max_examples=150, deadline=None)
+    @given(fixtures_with_sets())
+    def test_matches_brute_force(self, fixture):
+        f, dist, fixed = fixture
+        assert _absorbing(f, dist, fixed) == brute_force_absorbing(f, dist, fixed)
+
+    def test_every_set_of_small_fixtures(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n) * (rng.random(1 << n) < 0.3))
+            size = int(rng.integers(1, (1 << n) + 1))
+            weights = rng.integers(0, 2, size=size)
+            weights[0] = 1
+            dist = Distribution(n, rng.permutation(1 << n)[:size], weights)
+            for r in range(n + 1):
+                for fixed in itertools.combinations(range(1, n + 1), r):
+                    fixed = frozenset(fixed)
+                    absorbing = _absorbing(f, dist, fixed)
+                    assert absorbing == brute_force_absorbing(f, dist, fixed)
+                    if absorbing:
+                        assert attempt_success_probability(f, dist, fixed) == 0.0
+
+    def test_a_zero_weight_last_support_point_counts(self):
+        """`sample_indices` can return the last support entry whatever its weight."""
+        f = BooleanFunction.from_junta(3, [1, 2], [0, 0, 0, 1])  # x1 AND x2
+        # the weighted point has x1 = 0, where f is 0; the last one has x1 = 1
+        dist = Distribution(3, np.array([0, 1]), np.array([1.0, 0.0]))
+        assert attempt_success_probability(f, dist, frozenset({1})) == 0.0
+        assert not _absorbing(f, dist, frozenset({1}))
+        assert _absorbing(f, dist, frozenset({1, 2}))
+
+
+class TestAttemptMemo:
+    def test_entries_die_with_f_and_dist(self):
+        gc.collect()
+        before = len(quantum._MEMO)
+        f, g = BooleanFunction.parity(5, [1, 2]), BooleanFunction.parity(5, [3])
+        dist = Distribution.uniform(5)
+        for h in (f, g):
+            attempt_success_probability(h, dist, frozenset({1}))
+            _absorbing(h, dist, frozenset({1}))
+        assert len(quantum._MEMO) == before + 1 and len(quantum._MEMO[dist]) == 2
+        del g, h
+        gc.collect()
+        assert len(quantum._MEMO[dist]) == 1
+        refs = weakref.ref(f), weakref.ref(dist)
+        del f, dist
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(quantum._MEMO) == before
+
+    def test_fixtures_never_share_an_entry(self):
+        """Equal arrays in distinct objects are distinct fixtures."""
+        rng = np.random.default_rng(5)
+        table = rng.integers(0, 2, size=1 << 6)
+        weights = rng.random(1 << 6)
+        fs = [BooleanFunction(6, table), BooleanFunction(6, table),
+              BooleanFunction(6, 1 - table)]
+        dists = [Distribution.dense(6, weights), Distribution.dense(6, weights),
+                 Distribution.uniform(6)]
+        memos = [quantum._memo(f, d) for f in fs for d in dists]
+        assert len({id(m) for m in memos}) == len(memos)
+        for fixed in (frozenset(), frozenset({2, 5})):
+            for f in fs:
+                for d in dists:
+                    assert attempt_success_probability(f, d, fixed) == (
+                        reference_attempt_probability(f, d, fixed)
+                    )
+
+    def test_memoized_p_equals_the_formula(self):
+        rng = np.random.default_rng(7)
+        f = BooleanFunction(7, rng.integers(0, 2, size=1 << 7))
+        dist = Distribution.dense(7, rng.random(1 << 7))
+        for fixed in ({1}, {1, 4}, {1, 4, 6}, {1}):
+            first = attempt_success_probability(f, dist, set(fixed))
+            again = attempt_success_probability(f, dist, frozenset(fixed))
+            assert first == again == reference_attempt_probability(f, dist, fixed)
 
 
 class TestFourierSample:
@@ -125,6 +255,39 @@ class TestFourierSample:
             sp = restricted_spectrum(f, B)
             assert 1.0 - sp.squared()[0] >= 8 / 9 - 1e-9
         assert found > 0
+
+
+    def test_draws_match_the_out_of_place_normalization(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+            B = Cube(BitString(n, 0), BitString(n, int(rng.integers(1, 1 << n))))
+            seed = int(rng.integers(2**32))
+            got = fourier_sample_many(MembershipOracle(f), B, np.random.default_rng(seed), 50)
+            spectrum = restricted_spectrum(f, B)
+            probs = spectrum.squared()
+            cum = np.cumsum(probs / probs.sum())
+            u = np.random.default_rng(seed).random(50)
+            masks = np.minimum(np.searchsorted(cum, u, side="right"), probs.size - 1)
+            assert got == [spectrum.subset_for_mask(int(m)) for m in masks]
+
+    def test_memory_per_cube_point(self):
+        """One sample on a 16-dimensional cube peaks at <= 28 bytes per point:
+        the point indices are dropped after the gather, and the transform,
+        the normalization and the cumulative sum work in place."""
+        n, m = 17, 16
+        f = BooleanFunction(n, np.random.default_rng(2).integers(0, 2, size=1 << n))
+        B = Cube(BitString(n, 1 << m), BitString(n, (1 << (m + 1)) - 1))
+        oracle, rng = MembershipOracle(f), np.random.default_rng(3)
+        fourier_sample(oracle, B, rng)
+        tracemalloc.start()
+        try:
+            fourier_sample(oracle, B, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 << m
 
 
 class TestAttemptSuccessProbability:

@@ -9,6 +9,7 @@ from juntatester.boolfn import BitString, BooleanFunction, Cube
 from juntatester.distribution import Distribution, distance_to_k_junta
 from juntatester.harness import gen_random_junta, gen_sparse_distribution
 from juntatester.oracles import MembershipOracle, QueryLedger, SampleOracle
+from juntatester.quantum import amplification_schedule
 from juntatester.tester import (
     Decision,
     TesterState,
@@ -310,6 +311,89 @@ def test_step_walk_keeps_invariants(fixture, variant, eps, seed):
     while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
         state = step(state, mo, so, k, eps, rng, variant)
         assert check_invariants(state, f)
+
+
+def reference_run(oracle, samples, k, eps, rng, variant):
+    """The tester's loop with no fast-forward: one `step` per iteration."""
+    state = TesterState()
+    while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+        state = step(state, oracle, samples, k, eps, rng, variant)
+    return state
+
+
+@st.composite
+def fast_forward_fixtures(draw):
+    """(f, D, k) on n <= 7: a junta, parity, random or planted f; a uniform,
+    sparse or point-mass D. Sparse weights may be 0, the last one included."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["junta", "parity", "random", "planted"]))
+    if kind == "junta":
+        f = gen_random_junta(n, draw(st.integers(1, n)), rng)
+    elif kind == "parity":
+        f = BooleanFunction.parity(n, draw(st.sets(st.integers(1, n), min_size=1)))
+    elif kind == "random":
+        f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+    else:  # a parity on the subcube where variables 1..n//2 are 0, and 0 off it
+        points = np.arange(1 << n)
+        on_cube = (points & ((1 << (n // 2)) - 1)) == 0
+        parity = np.array([v.bit_count() & 1 for v in points])
+        f = BooleanFunction(n, np.where(on_cube, parity, 0))
+    shape = draw(st.sampled_from(["uniform", "sparse", "point_mass"]))
+    if shape == "uniform":
+        dist = Distribution.uniform(n)
+    elif shape == "point_mass":
+        dist = Distribution.point_mass(BitString(n, int(rng.integers(0, 1 << n))))
+    else:
+        support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12,
+                                unique=True))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(support),
+                                max_size=len(support)).filter(any))
+        if any(weights[:-1]) and draw(st.booleans()):
+            weights[-1] = 0
+        dist = Distribution(n, support, weights)
+    return f, dist, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(fast_forward_fixtures(), st.sampled_from(list(Variant)), st.sampled_from([0.1, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_fast_forward_matches_the_step_loop(fixture, variant, eps, seed):
+    """`run_tester` gives the decision, ledger, final state and trace of the
+    plain loop of `step` calls from the same seed."""
+    f, dist, k = fixture
+    mo, so, ledger = make_oracles(f, dist)
+    verdict = run_tester(mo, so, k, eps, np.random.default_rng(seed), variant)
+    ref_mo, ref_so, ref_ledger = make_oracles(f, dist)
+    ref = reference_run(ref_mo, ref_so, k, eps, np.random.default_rng(seed), variant)
+    decision = Decision.REJECT if len(ref.s) + len(ref.cubes) > k else Decision.ACCEPT
+    assert verdict.decision is decision
+    assert ledger == ref_ledger
+    final = verdict.final_state
+    assert (final.s, final.cubes, final.fx, final.iteration) == (
+        ref.s, ref.cubes, ref.fx, ref.iteration
+    )
+    assert final.trace == ref.trace
+
+
+def test_fast_forward_charges_every_iteration():
+    """A constant function is absorbing from the start: the first generate
+    fails, and the other 18k - 1 are charged and traced in full."""
+    k, eps = 3, 0.25
+    for variant, per_iteration in (
+        (Variant.CLASSICAL, {"classical_samples": 8, "classical_queries": 16}),
+        (Variant.AMPLIFIED, {"quantum_queries": sum(amplification_schedule(eps)[0])}),
+    ):
+        mo, so, ledger = make_oracles(constant(5, 1), Distribution.uniform(5))
+        verdict = run_tester(mo, so, k, eps, np.random.default_rng(0), variant)
+        assert verdict.decision is Decision.ACCEPT
+        assert verdict.final_state.iteration == 18 * k
+        assert [r.action for r in verdict.final_state.trace] == (
+            [TraceAction.GENERATE_FAILED] * 18 * k
+        )
+        for channel in ("classical_samples", "classical_queries", "quantum_queries"):
+            assert getattr(ledger, channel) == 18 * k * per_iteration.get(channel, 0)
 
 
 class TestCheckInvariants:

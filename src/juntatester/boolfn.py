@@ -76,16 +76,15 @@ def index_mask(members: Iterable[int], n: int) -> int:
     return mask
 
 
-def class_indices(n: int, variables: Sequence[int]) -> np.ndarray:
-    """Each point's class index: bit j is the point's value of ``variables[j]``."""
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
-    index_mask(variables, n)  # range check
-    points = np.arange(1 << n, dtype=np.int64)
-    proj = np.zeros(1 << n, dtype=np.int64)
-    for j, v in enumerate(variables):
-        proj |= (points >> (v - 1) & 1) << j
-    return proj
+def _free_axes(n: int, kept: Iterable[int]) -> tuple[int, ...]:
+    """Axes of the (2,)*n table view, where variable v is axis n - v, outside `kept`.
+
+    A sum over them has one entry per class of points that agree on `kept`, bit j
+    of its flat index being the j-th smallest kept variable; broadcast over them
+    (keepdims), it is read back at every point. Raises on out-of-range variables.
+    """
+    mask = index_mask(kept, n)
+    return tuple(n - v for v in range(1, n + 1) if not mask >> (v - 1) & 1)
 
 
 def mask_indices(mask: int) -> frozenset[int]:
@@ -223,18 +222,23 @@ class BooleanFunction:
         cls, n: int, variables: Iterable[int], inner_table: Sequence[int]
     ) -> "BooleanFunction":
         """Dense function that reads only `variables`, via `inner_table`."""
+        if not 1 <= n <= N_MAX:  # every check comes before the 2^n table exists
+            raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         vars_ = tuple(sorted(variables))
-        proj = class_indices(n, vars_)
+        free = _free_axes(n, vars_)
+        if len(set(vars_)) != len(vars_):
+            raise ValueError(f"junta variables repeat: {list(vars_)}")
         inner = np.asarray(inner_table, dtype=np.uint8)
         if inner.shape != (1 << len(vars_),):
             raise ValueError("inner table size does not match the variable set")
-        return cls(n, inner[proj], junta_vars=vars_, junta_inner=inner)
+        cells = np.expand_dims(inner.reshape((2,) * len(vars_)), free)
+        table = np.broadcast_to(cells, (2,) * n).flatten()
+        return cls(n, table, junta_vars=vars_, junta_inner=inner)
 
     @classmethod
     def parity(cls, n: int, variables: Iterable[int]) -> "BooleanFunction":
         vars_ = tuple(sorted(variables))
-        inner = np.arange(1 << len(vars_), dtype=np.int64)
-        inner = np.array([v.bit_count() & 1 for v in inner], dtype=np.uint8)
+        inner = np.array([v.bit_count() & 1 for v in range(1 << len(vars_))], dtype=np.uint8)
         return cls.from_junta(n, vars_, inner)
 
     # -- evaluation ----------------------------------------------------
@@ -248,12 +252,8 @@ class BooleanFunction:
 
     def relevant_variables(self) -> frozenset[int]:
         """Exact set of variables i with f(x) != f(x^i) for some x."""
-        points = np.arange(1 << self.n, dtype=np.int64)
-        out = []
-        for i in range(1, self.n + 1):
-            if np.any(self.table != self.table[points ^ (1 << (i - 1))]):
-                out.append(i)
-        return frozenset(out)
+        view = self.table.reshape((2,) * self.n)  # the halves x_i = 0, 1 of axis n - i
+        return frozenset(i for i in range(1, self.n + 1) if np.diff(view, axis=self.n - i).any())
 
     def check_junta_backing(self) -> bool:
         """Exhaustively verify the dense table against the inner table."""

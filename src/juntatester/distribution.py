@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .boolfn import (
-    BitString, BooleanFunction, N_MAX, _document, _integral, _list, _number, class_indices
+    BitString, BooleanFunction, N_MAX, _document, _free_axes, _integral, _list, _number
 )
 
 WORK_CAP = 10**9
@@ -164,12 +164,12 @@ def best_junta_on(
     if dist.n != f.n:
         raise ValueError(f"distribution dimension {dist.n} != {f.n}")
     vars_ = tuple(sorted(set(variables)))
-    proj = class_indices(f.n, vars_)
-    w = dist.dense_weights()
-    classes = 1 << len(vars_)
+    free = _free_axes(f.n, vars_)
+    w = dist.dense_weights().reshape((2,) * f.n)
+    table = f.table.reshape((2,) * f.n)
     # cost of answering 0 (resp. 1) in each class
-    cost0 = np.bincount(proj, weights=w * f.table, minlength=classes)
-    cost1 = np.bincount(proj, weights=w * (1 - f.table), minlength=classes)
+    cost0 = (w * table).sum(axis=free).reshape(-1)
+    cost1 = (w * (1 - table)).sum(axis=free).reshape(-1)
     inner = (cost1 < cost0).astype(np.uint8)
     error = float(np.minimum(cost0, cost1).sum())
     return BooleanFunction.from_junta(f.n, vars_, inner), error
@@ -183,8 +183,9 @@ def _subset_errors(
     A depth-first walk over variables 1..n on the stacked per-point costs
     (w*f, w*(1-f)), held as shape (2, rest, cells). Keeping variable v
     reshapes it into the next bit of the cell index, so bit j is the j-th
-    kept variable as in `boolfn.class_indices`; dropping v sums it out. Keep
-    is tried before drop, and every subset reuses its parent's marginals.
+    kept variable, the class order of `boolfn._free_axes`; dropping v sums
+    it out. Keep is tried before drop, and every subset reuses its parent's
+    marginals.
     """
     n = f.n
     w = dist.dense_weights()

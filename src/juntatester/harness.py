@@ -46,7 +46,7 @@ def gen_random_junta(n: int, k: int, rng: np.random.Generator) -> BooleanFunctio
 
 def gen_sparse_distribution(n: int, support_size: int, rng: np.random.Generator) -> Distribution:
     """Random sparse distribution: distinct support points, positive random weights."""
-    support = rng.choice(np.arange(1 << n, dtype=np.int64), size=support_size, replace=False)
+    support = rng.choice(1 << n, size=support_size, replace=False)
     weights = rng.random(support_size) + 1e-3
     return Distribution(n, support, weights)
 
@@ -68,14 +68,13 @@ def _far_candidate(
     free_vars = sorted(order[n_fixed:].tolist())
     parity_vars = sorted(rng.choice(np.array(free_vars), size=k + 1, replace=False).tolist())
     anchor = int(rng.integers(0, 1 << n))
-    fixed_mask = sum(1 << (v - 1) for v in fixed_vars)
-    points = np.arange(1 << n, dtype=np.int64)
-    in_cube = (points & fixed_mask) == (anchor & fixed_mask)
-    parity_bits = np.zeros(1 << n, dtype=np.int64)
-    for v in parity_vars:
-        parity_bits ^= points >> (v - 1) & 1
-    table = np.where(in_cube, parity_bits, 0).astype(np.uint8)
-    dist = Distribution(n, points[in_cube], np.full(int(in_cube.sum()), 1.0))
+    # the subcube is one slice of the (2,)*n view, where variable v is axis n - v
+    corner = tuple(anchor >> (v - 1) & 1 if v in fixed_vars else slice(None)
+                   for v in range(n, 0, -1))
+    in_cube = np.zeros((2,) * n, dtype=bool)
+    in_cube[corner] = True
+    table = BooleanFunction.parity(n, parity_vars).table * in_cube.reshape(-1)
+    dist = Distribution(n, np.flatnonzero(in_cube), np.full(1 << (n - n_fixed), 1.0))
     return BooleanFunction(n, table), dist
 
 

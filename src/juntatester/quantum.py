@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .boolfn import (
-    BitString, BooleanFunction, Cube, class_indices, index_mask, restricted_spectrum
+    BitString, BooleanFunction, Cube, _free_axes, index_mask, restricted_spectrum
 )
 from .distribution import Distribution
 from .oracles import MembershipOracle, SampleOracle
@@ -78,7 +78,8 @@ def attempt_success_probability(
 
     For x with a given restriction to S, the points x^T sweep uniformly over
     the subcube that agrees with x on S, so the inner probability depends only
-    on the class mean of f over that subcube.
+    on the class mean of f over that subcube: its exact count of ones over the
+    class size, read back at the support of D.
     """
     n = f.n
     if dist.n != n:
@@ -86,13 +87,10 @@ def attempt_success_probability(
     memo, key = _memo(f, dist), ("p", frozenset(fixed))
     if key in memo:
         return memo[key]
-    vars_ = tuple(sorted(fixed))
-    proj = class_indices(n, vars_)
-    classes = 1 << len(vars_)
-    table = f.table.astype(np.float64)
-    mean = np.bincount(proj, weights=table, minlength=classes) / (1 << (n - len(vars_)))
-    fx = table[dist.support]
-    mu = mean[proj[dist.support]]
+    free = _free_axes(n, fixed)
+    counts = f.table.reshape((2,) * n).sum(axis=free, dtype=np.int64, keepdims=True)
+    mu = np.broadcast_to(counts / (1 << len(free)), (2,) * n).reshape(-1)[dist.support]
+    fx = f.table[dist.support]
     memo[key] = float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
     return memo[key]
 
@@ -100,17 +98,17 @@ def attempt_success_probability(
 def _absorbing(f: BooleanFunction, dist: Distribution, fixed: frozenset[int]) -> bool:
     """True when f is constant on the S-class of every support point of D, S = `fixed`:
     then p = 0 and every cube search fails. A zero-weight point counts too, as
-    `Distribution.sample_indices` can return a zero-weight last entry. uint8
-    tables of shape (2,)*n (variable v is axis n - v) are reduced over the free
-    axes, with no 2^n-sized int64 or float64 temporary. Memoized like p.
+    `Distribution.sample_indices` can return a zero-weight last entry. The class
+    counts of p and a uint8 mark of the support are reduced over the free axes,
+    with no 2^n-sized int64 or float64 temporary. Memoized like p.
     """
     memo, key = _memo(f, dist), ("absorbing", frozenset(fixed))
     if key in memo:
         return memo[key]
     n = f.n
-    free = tuple(n - v for v in range(1, n + 1) if v not in fixed)
-    table = f.table.reshape((2,) * n)
-    mixed = table.max(axis=free) != table.min(axis=free)  # f non-constant on the class
+    free = _free_axes(n, fixed)
+    counts = f.table.reshape((2,) * n).sum(axis=free, dtype=np.int64)
+    mixed = (0 < counts) & (counts < 1 << len(free))
     if mixed.any():
         marked = np.zeros(1 << n, dtype=np.uint8)
         marked[dist.support] = 1
@@ -142,8 +140,8 @@ def first_relevant_attempt(
     return j + 1, Cube(BitString(n, x), BitString(n, x ^ int(tmasks[j])))
 
 
-def amplification_schedule(eps: float) -> tuple[list[int], int]:
-    """Stage reflection counts r_j = ceil(2^{j/2}) within the budget ceil(4/sqrt(eps))."""
+def amplification_schedule(eps: float) -> list[int]:
+    """Stage reflection counts r_j = ceil(2^{j/2}) whose sum is within ceil(4/sqrt(eps))."""
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     budget = ceil(4 / sqrt(eps))
@@ -155,7 +153,7 @@ def amplification_schedule(eps: float) -> tuple[list[int], int]:
         stages.append(r)
         used += r
         j += 1
-    return stages, budget
+    return stages
 
 
 def stage_success_probability(reflections: int, p: float) -> float:
@@ -180,7 +178,7 @@ def amplified_generate_cube(
     successful attempts; the rejection draws used to realize that conditional
     are simulation bookkeeping and are not charged.
     """
-    stages, _ = amplification_schedule(eps)
+    stages = amplification_schedule(eps)
     p = attempt_success_probability(oracle.function, samples.distribution, fixed)
     for r in stages:
         oracle.charge_quantum(r)

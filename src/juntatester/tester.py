@@ -209,7 +209,7 @@ def run_tester(
                 and _absorbing(oracle.function, samples.distribution, state.s)):
             # each remaining iteration is a failed cube search: p = 0 here
             if variant is Variant.AMPLIFIED:
-                oracle.charge_quantum(rest * sum(amplification_schedule(eps)[0]))
+                oracle.charge_quantum(rest * sum(amplification_schedule(eps)))
             else:
                 samples.note_samples(rest * ceil(2 / eps))
                 oracle.note_classical(2 * rest * ceil(2 / eps))

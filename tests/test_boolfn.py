@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from juntatester.boolfn import (
     BooleanFunction,
     Cube,
     DimensionMismatchError,
-    class_indices,
     cube_point_indices,
     index_mask,
     restricted_spectrum,
@@ -421,13 +421,57 @@ class TestFunctionJson:
             assert g.table.tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
 
 
-class TestClassIndices:
-    def test_bit_j_is_the_jth_variable(self):
-        proj = class_indices(4, (3, 1))
-        for x in range(16):
-            assert proj[x] == ((x >> 2) & 1) | ((x & 1) << 1)
+def cell_of(x, variables):
+    """The class index of point x: bit j is x's value of the j-th smallest variable."""
+    return sum((x >> (v - 1) & 1) << j for j, v in enumerate(sorted(variables)))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestProjectionRule:
+    """The (2,)*n table view against loops over every point."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_from_junta_evaluates_the_inner_table(self, data):
+        n = data.draw(st.integers(1, 8))
+        variables = data.draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+        inner = data.draw(st.lists(st.integers(0, 1), min_size=1 << len(variables),
+                                   max_size=1 << len(variables)))
+        for order in (variables, sorted(variables)):
+            f = BooleanFunction.from_junta(n, order, inner)
+            assert [int(b) for b in f.table] == [
+                inner[cell_of(x, variables)] for x in range(1 << n)
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(functions())
+    def test_relevant_variables_flip_every_point(self, f):
+        assert f.relevant_variables() == {
+            i for i in range(1, f.n + 1) for x in range(1 << f.n)
+            if f.table[x] != f.table[x ^ (1 << (i - 1))]
+        }
 
     @pytest.mark.parametrize("n, variables", [(0, ()), (25, (1,)), (4, (5,)), (4, (0,))])
-    def test_rejects_out_of_range(self, n, variables):
-        with pytest.raises((ValueError, IndexError)):
-            class_indices(n, variables)
+    def test_from_junta_rejects_out_of_range_before_allocating(self, n, variables):
+        def build():
+            with pytest.raises((ValueError, IndexError)):
+                BooleanFunction.from_junta(n, variables, [0] * (1 << len(variables)))
+
+        assert traced_peak(build) < 1 << 16
+
+    def test_memory_per_point(self):
+        """At n = 16, building a 4-junta peaks at <= 3 bytes per point (its table
+        and one check of it) and finding its relevant variables at <= 2."""
+        n = 16
+        inner = np.random.default_rng(4).integers(0, 2, size=16)
+        assert traced_peak(lambda: BooleanFunction.from_junta(n, [2, 7, 11, 16], inner)) <= 3 << n
+        f = BooleanFunction.from_junta(n, [2, 7, 11, 16], inner)
+        assert traced_peak(f.relevant_variables) <= 2 << n

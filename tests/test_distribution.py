@@ -127,6 +127,33 @@ class TestBestJuntaOn:
         assert all(h.eval(BitString.from_str(s)) == 1 for s in ("10", "11"))
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_a_loop_over_each_class(self, data):
+        """Integer weights give each class exact costs c0 (f = 1) and c1 (f = 0)."""
+        n = data.draw(st.integers(1, 8))
+        table = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+        uniform = data.draw(st.booleans())
+        weights = [1] * (1 << n) if uniform else data.draw(
+            st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n).filter(any))
+        variables = data.draw(st.lists(st.integers(1, n), max_size=n + 2))
+        f, dist = BooleanFunction(n, np.array(table)), Distribution.dense(n, weights)
+        kept = sorted(set(variables))
+        cells = [sum((x >> (v - 1) & 1) << j for j, v in enumerate(kept))
+                 for x in range(1 << n)]
+        costs = [[0, 0] for _ in range(1 << len(kept))]
+        for x, cell in enumerate(cells):
+            costs[cell][1 - table[x]] += weights[x]
+        h, err = best_junta_on(f, dist, variables)
+        assert err == pytest.approx(sum(min(c) for c in costs) / sum(weights), abs=1e-12)
+        assert h.junta_vars == tuple(kept)
+        for x, cell in enumerate(cells):
+            c0, c1 = costs[cell]
+            # a tie answers 0; float costs tie exactly only under dyadic weights
+            if c0 != c1 or uniform:
+                assert h.table[x] == (c1 < c0)
+
+
 class TestDistanceToKJunta:
     def test_junta_has_distance_zero(self):
         f = BooleanFunction.from_junta(5, [2, 4], [1, 0, 0, 1])

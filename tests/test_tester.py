@@ -383,7 +383,7 @@ def test_fast_forward_charges_every_iteration():
     k, eps = 3, 0.25
     for variant, per_iteration in (
         (Variant.CLASSICAL, {"classical_samples": 8, "classical_queries": 16}),
-        (Variant.AMPLIFIED, {"quantum_queries": sum(amplification_schedule(eps)[0])}),
+        (Variant.AMPLIFIED, {"quantum_queries": sum(amplification_schedule(eps))}),
     ):
         mo, so, ledger = make_oracles(constant(5, 1), Distribution.uniform(5))
         verdict = run_tester(mo, so, k, eps, np.random.default_rng(0), variant)

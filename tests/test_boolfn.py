@@ -435,6 +435,19 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+class TestClassIndices:
+    """from_junta maps each point to a cell (class index) of the inner table; an
+    out-of-range n or variable must raise before any table is allocated."""
+
+    @pytest.mark.parametrize("n, variables", [(0, ()), (25, (1,)), (4, (5,)), (4, (0,))])
+    def test_rejects_out_of_range(self, n, variables):
+        def build():
+            with pytest.raises((ValueError, IndexError)):
+                BooleanFunction.from_junta(n, variables, [0] * (1 << len(variables)))
+
+        assert traced_peak(build) < 1 << 16
+
+
 class TestProjectionRule:
     """The (2,)*n table view against loops over every point."""
 
@@ -458,14 +471,6 @@ class TestProjectionRule:
             i for i in range(1, f.n + 1) for x in range(1 << f.n)
             if f.table[x] != f.table[x ^ (1 << (i - 1))]
         }
-
-    @pytest.mark.parametrize("n, variables", [(0, ()), (25, (1,)), (4, (5,)), (4, (0,))])
-    def test_from_junta_rejects_out_of_range_before_allocating(self, n, variables):
-        def build():
-            with pytest.raises((ValueError, IndexError)):
-                BooleanFunction.from_junta(n, variables, [0] * (1 << len(variables)))
-
-        assert traced_peak(build) < 1 << 16
 
     def test_memory_per_point(self):
         """At n = 16, building a 4-junta peaks at <= 3 bytes per point (its table

@@ -183,14 +183,14 @@ class BooleanFunction:
     """A total function {0,1}^n -> {0,1} held as a dense truth table.
 
     ``table[i]`` is the value at the point whose integer form is ``i``.
-    ``junta_vars``/``junta_inner``, when present, record that the function was
-    built from an inner table over a subset of the variables.
+    ``junta_vars``/``junta_inner`` are set only by `from_junta`, and record
+    that the function was built from an inner table over those variables.
     """
 
     n: int
     table: np.ndarray
-    junta_vars: Optional[tuple[int, ...]] = None
-    junta_inner: Optional[np.ndarray] = None
+    junta_vars: Optional[tuple[int, ...]] = field(default=None, init=False)
+    junta_inner: Optional[np.ndarray] = field(default=None, init=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= N_MAX:
@@ -203,17 +203,6 @@ class BooleanFunction:
         if np.any(table > 1):
             raise ValueError("table entries must be 0 or 1")
         object.__setattr__(self, "table", table)
-        if (self.junta_vars is None) != (self.junta_inner is None):
-            raise ValueError("junta backing needs both the variable set and the inner table")
-        if self.junta_vars is not None:
-            vars_ = tuple(sorted(self.junta_vars))
-            if len(set(vars_)) != len(vars_):
-                raise ValueError(f"junta variables repeat: {list(vars_)}")
-            inner = np.ascontiguousarray(self.junta_inner, dtype=np.uint8)
-            if inner.shape != (1 << len(vars_),):
-                raise ValueError("inner table size does not match the variable set")
-            object.__setattr__(self, "junta_vars", vars_)
-            object.__setattr__(self, "junta_inner", inner)
 
     # -- constructors -------------------------------------------------
 
@@ -233,7 +222,10 @@ class BooleanFunction:
             raise ValueError("inner table size does not match the variable set")
         cells = np.expand_dims(inner.reshape((2,) * len(vars_)), free)
         table = np.broadcast_to(cells, (2,) * n).flatten()
-        return cls(n, table, junta_vars=vars_, junta_inner=inner)
+        f = cls(n, table)
+        object.__setattr__(f, "junta_vars", vars_)
+        object.__setattr__(f, "junta_inner", inner)
+        return f
 
     @classmethod
     def parity(cls, n: int, variables: Iterable[int]) -> "BooleanFunction":
@@ -254,13 +246,6 @@ class BooleanFunction:
         """Exact set of variables i with f(x) != f(x^i) for some x."""
         view = self.table.reshape((2,) * self.n)  # the halves x_i = 0, 1 of axis n - i
         return frozenset(i for i in range(1, self.n + 1) if np.diff(view, axis=self.n - i).any())
-
-    def check_junta_backing(self) -> bool:
-        """Exhaustively verify the dense table against the inner table."""
-        if self.junta_vars is None:
-            return True
-        rebuilt = BooleanFunction.from_junta(self.n, self.junta_vars, self.junta_inner)
-        return bool(np.array_equal(self.table, rebuilt.table))
 
     # -- serialization ---------------------------------------------------
 
@@ -285,8 +270,8 @@ class BooleanFunction:
         _document(junta, "junta block", ("vars", "inner_table"))
         vars_ = tuple(_integral(v, "junta variable") for v in _list(junta["vars"], "junta vars"))
         inner = _parse_bit_field(junta["inner_table"], 1 << len(vars_))
-        f = cls(n, table, junta_vars=vars_, junta_inner=inner)
-        if not f.check_junta_backing():
+        f = cls.from_junta(n, vars_, inner)
+        if not np.array_equal(f.table, table):
             raise ValueError("truth table disagrees with its junta backing")
         return f
 

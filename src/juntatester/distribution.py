@@ -56,7 +56,11 @@ class Distribution:
         probs = probs / total
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cum", np.cumsum(probs))
+        cum = np.cumsum(probs)
+        # the sum may end below 1: a draw past it lands on the last positive
+        # weight, never on a zero-weight point after it
+        cum[-1 if probs[-1] else np.flatnonzero(probs)[-1]:] = np.inf
+        object.__setattr__(self, "_cum", cum)
 
     # -- constructors -------------------------------------------------
 
@@ -100,8 +104,7 @@ class Distribution:
         return w
 
     def sample_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        pos = np.searchsorted(self._cum, rng.random(count), side="right")
-        return self.support[np.minimum(pos, self.support.size - 1)]
+        return self.support[np.searchsorted(self._cum, rng.random(count), side="right")]
 
     # -- serialization ----------------------------------------------------
 
@@ -204,9 +207,7 @@ def _subset_errors(
     return walk(costs.reshape(2, -1, 1), 1, ())
 
 
-def distance_to_k_junta(
-    f: BooleanFunction, dist: Distribution, k: int, work_cap: int = WORK_CAP
-) -> DistanceCertificate:
+def distance_to_k_junta(f: BooleanFunction, dist: Distribution, k: int) -> DistanceCertificate:
     """Exact distance of f to the nearest k-junta with respect to D.
 
     Scans all C(n,k) variable subsets in lexicographic order with the
@@ -214,8 +215,8 @@ def distance_to_k_junta(
     incumbent only if its error is lower by more than 1e-9, and the scan
     stops at the first subset with error 0, so the certificate carries the
     lexicographically first minimizer up to that margin. Its distance and
-    junta come from one `best_junta_on` call on that subset. The work-cap
-    check is unchanged: it still bounds C(n,k)*2^n, the cost of a full-table
+    junta come from one `best_junta_on` call on that subset. `WORK_CAP`,
+    read at each call, still bounds C(n,k)*2^n, the cost of a full-table
     scan per subset, although the walk does less work.
     """
     n = f.n
@@ -224,10 +225,8 @@ def distance_to_k_junta(
     if k < 0:
         raise ValueError("k must be nonnegative")
     k = min(k, n)
-    if comb(n, k) * (1 << n) > work_cap:
-        raise WorkCapExceededError(
-            f"C({n},{k})*2^{n} exceeds the work cap of {work_cap}"
-        )
+    if comb(n, k) * (1 << n) > WORK_CAP:
+        raise WorkCapExceededError(f"C({n},{k})*2^{n} exceeds the work cap of {WORK_CAP}")
     best: Optional[tuple[float, tuple[int, ...]]] = None
     for subset, error in _subset_errors(f, dist, k):
         if best is None or error < best[0] - _NORM_TOL:

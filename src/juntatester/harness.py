@@ -104,13 +104,13 @@ def gen_far_fixture(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 99 % (z = WILSON_Z_99) for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in 0..trials")
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z_99
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     margin = (z / denom) * sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))

@@ -97,10 +97,11 @@ def attempt_success_probability(
 
 def _absorbing(f: BooleanFunction, dist: Distribution, fixed: frozenset[int]) -> bool:
     """True when f is constant on the S-class of every support point of D, S = `fixed`:
-    then p = 0 and every cube search fails. A zero-weight point counts too, as
-    `Distribution.sample_indices` can return a zero-weight last entry. The class
-    counts of p and a uint8 mark of the support are reduced over the free axes,
-    with no 2^n-sized int64 or float64 temporary. Memoized like p.
+    then p = 0 and every cube search fails. A zero-weight point counts too,
+    which is only conservative, as `Distribution.sample_indices` never draws
+    one. The class counts of p and a uint8 mark of the support are reduced
+    over the free axes, with no 2^n-sized int64 or float64 temporary.
+    Memoized like p.
     """
     memo, key = _memo(f, dist), ("absorbing", frozenset(fixed))
     if key in memo:

@@ -8,7 +8,7 @@ and rejects exactly when |S| + |cubes| > k at loop exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import ceil
 from typing import Optional
@@ -44,27 +44,22 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One loop iteration: what happened and the potential 2|S|+|cubes| after it."""
+    """One loop iteration: what happened, and |S| and the queue length after it."""
 
-    iteration: int
     action: TraceAction
-    potential: int
     s_size: int
     num_cubes: int
 
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "action": self.action.value,
-            "potential": self.potential,
-            "s_size": self.s_size,
-            "num_cubes": self.num_cubes,
-        }
+    @property
+    def potential(self) -> int:
+        """The potential 2|S| + |cubes| after the iteration."""
+        return 2 * self.s_size + self.num_cubes
 
 
 @dataclass(frozen=True)
 class TesterState:
-    """Immutable snapshot of (S, cubes), the corner bit ``fx`` and the trace.
+    """Immutable snapshot of (S, cubes), the corner bit ``fx`` and the trace,
+    one record per iteration run.
 
     Every queued cube has f(x) = ``fx`` and f(y) = 1 - ``fx``: a cube is
     generated only when the queue is empty, and a split keeps the corner
@@ -78,7 +73,6 @@ class TesterState:
     s: frozenset[int] = frozenset()
     cubes: tuple[Cube, ...] = ()
     fx: int = 0
-    iteration: int = 0
     trace: tuple[TraceRecord, ...] = ()
 
 
@@ -92,7 +86,7 @@ class Verdict:
         return {
             "decision": self.decision.value,
             "ledger": self.ledger.to_json(),
-            "iterations": self.final_state.iteration,
+            "iterations": len(self.final_state.trace),
         }
 
 
@@ -122,14 +116,13 @@ def generate_cube(
 def _record(
     state: TesterState, action: TraceAction, s: frozenset[int], cubes: tuple[Cube, ...], fx: int
 ) -> TesterState:
-    """The next state (S, cubes, fx) after `state`, its iteration counted and traced.
+    """The next state (S, cubes, fx) after `state`, its iteration traced.
 
-    The one place a next state or a trace record is built. `fx` is dropped
-    to 0 with an empty queue, so equal (S, cubes) give equal states.
+    The one place a trace record is built. `fx` is dropped to 0 with an
+    empty queue, so equal (S, cubes) give equal states.
     """
-    iteration = state.iteration + 1
-    rec = TraceRecord(iteration, action, 2 * len(s) + len(cubes), len(s), len(cubes))
-    return TesterState(s, cubes, fx if cubes else 0, iteration, state.trace + (rec,))
+    rec = TraceRecord(action, len(s), len(cubes))
+    return TesterState(s, cubes, fx if cubes else 0, state.trace + (rec,))
 
 
 def step(
@@ -192,8 +185,11 @@ def run_tester(
     function eps-far from every k-junta under D it is reject with probability
     at least 1/2. Once a cube search fails from an S from which none can
     succeed, the remaining iterations are charged and traced at once, and
-    `rng` is left where that search left it.
+    `rng` is left where that search left it. Both oracles must share the
+    ledger that the verdict reports.
     """
+    if samples.ledger is not oracle.ledger:
+        raise ValueError("the membership and sample oracles must share one ledger")
     n = oracle.function.n
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
@@ -202,19 +198,19 @@ def run_tester(
     variant = Variant(variant)
     cap = ITERATION_FACTOR * k
     state = TesterState()
-    while state.iteration < cap and len(state.s) + len(state.cubes) <= k:
+    while len(state.trace) < cap and len(state.s) + len(state.cubes) <= k:
         state = step(state, oracle, samples, k, eps, rng, variant)
-        rest = cap - state.iteration
+        rest = cap - len(state.trace)
         if (rest and state.trace[-1].action is TraceAction.GENERATE_FAILED
                 and _absorbing(oracle.function, samples.distribution, state.s)):
-            # each remaining iteration is a failed cube search: p = 0 here
+            # each remaining iteration is a failed cube search, p = 0 here,
+            # and traced as a copy of the last record
             if variant is Variant.AMPLIFIED:
                 oracle.charge_quantum(rest * sum(amplification_schedule(eps)))
             else:
                 samples.note_samples(rest * ceil(2 / eps))
                 oracle.note_classical(2 * rest * ceil(2 / eps))
-            for _ in range(rest):
-                state = _record(state, TraceAction.GENERATE_FAILED, state.s, (), 0)
+            state = replace(state, trace=state.trace + state.trace[-1:] * rest)
     decision = (
         Decision.REJECT if len(state.s) + len(state.cubes) > k else Decision.ACCEPT
     )

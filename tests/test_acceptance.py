@@ -171,7 +171,7 @@ def test_criterion_04_lemma_attempt_probability(far_suite):
             rng = derive_rng(40_000 + fixture_idx, i + 1)
             mo, so, _ = fresh_oracles(f, dist)
             state = TesterState()
-            while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+            while len(state.trace) < 18 * k and len(state.s) + len(state.cubes) <= k:
                 if not state.cubes and len(state.s) <= k:
                     seen.add(state.s)
                 state = step(state, mo, so, k, eps, rng)
@@ -209,7 +209,7 @@ def test_criterion_06_growth_property(soundness_fixture, soundness_runs):
     # pool further traced soundness runs until the 1e4-iteration floor is met
     f, dist, _ = soundness_fixture
     extra = 0
-    while sum(v.final_state.iteration for v in verdicts) < 10_000:
+    while sum(len(v.final_state.trace) for v in verdicts) < 10_000:
         extra += 1
         rng = derive_rng(555, 2000 + extra)
         mo, so, _ = fresh_oracles(f, dist)
@@ -271,7 +271,7 @@ def test_criterion_08_state_invariants(soundness_fixture):
             rng = derive_rng(808 + idx, i + 1)
             mo, so, _ = fresh_oracles(f, dist)
             state = TesterState()
-            while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+            while len(state.trace) < 18 * k and len(state.s) + len(state.cubes) <= k:
                 state = step(state, mo, so, k, eps, rng)
                 assert check_invariants(state, f)
                 iterations += 1

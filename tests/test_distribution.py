@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juntatester import distribution
 from juntatester.boolfn import BitString, BooleanFunction
 from juntatester.distribution import (
     Distribution,
@@ -103,6 +104,19 @@ class TestMakeDistribution:
         rng = np.random.default_rng(0)
         d = Distribution.dense(4, rng.random(16))
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_draw_returns_a_zero_weight_point(self):
+        # seven weights of 1/7 sum to 1 - 2^-52, so a uniform draw of
+        # 1 - 2^-53 lies past the cumulative sum
+        class LastFloat:
+            def random(self, count):
+                return np.full(count, 1 - 2.0**-53)
+
+        d = Distribution.dense(3, [1] * 7 + [0])
+        assert np.cumsum(d.probs)[-1] < 1 - 2.0**-53
+        assert d.sample_indices(LastFloat(), 2).tolist() == [6, 6]
+        d = Distribution.sparse(4, {**{i: 1 for i in range(7)}, 12: 0, 9: 0})
+        assert d.sample_indices(LastFloat(), 1).tolist() == [6]
 
 
 class TestBestJuntaOn:
@@ -235,10 +249,11 @@ class TestDistanceToKJunta:
         assert cert.best_subset == frozenset({1, 2})
         assert cert.distance == 0.5
 
-    def test_work_cap(self):
+    def test_work_cap(self, monkeypatch):
+        monkeypatch.setattr(distribution, "WORK_CAP", 10)
         f = BooleanFunction(4, np.zeros(16))
         with pytest.raises(WorkCapExceededError):
-            distance_to_k_junta(f, Distribution.uniform(4), 2, work_cap=10)
+            distance_to_k_junta(f, Distribution.uniform(4), 2)
 
 
 @st.composite

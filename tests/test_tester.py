@@ -100,7 +100,7 @@ class TestStep:
     def test_constant_generate_failed(self):
         mo, so, _ = make_oracles(constant(4, 0), Distribution.uniform(4))
         new = step(TesterState(), mo, so, 2, 0.5, np.random.default_rng(0))
-        assert new.iteration == 1
+        assert len(new.trace) == 1
         assert new.trace[-1].action is TraceAction.GENERATE_FAILED
         assert new.s == frozenset() and new.cubes == ()
 
@@ -213,7 +213,7 @@ class TestRunTester:
             assert ledger.quantum_queries <= 18 * k
             assert ledger.classical_samples <= 18 * k * ceil(2 / eps)
             assert ledger.classical_queries <= 18 * k * (2 * ceil(2 / eps) + 2)
-            assert verdict.final_state.iteration <= 18 * k
+            assert len(verdict.final_state.trace) <= 18 * k
 
     def test_invariants_maintained_every_iteration(self):
         rng = np.random.default_rng(19)
@@ -230,7 +230,7 @@ class TestRunTester:
             for _ in range(10):
                 mo, so, _ = make_oracles(f, dist)
                 state = TesterState()
-                while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+                while len(state.trace) < 18 * k and len(state.s) + len(state.cubes) <= k:
                     state = step(state, mo, so, k, 0.25, rng)
                     assert check_invariants(state, f)
 
@@ -246,19 +246,6 @@ class TestRunTester:
             )
             assert (verdict.decision is Decision.REJECT) == overflow
 
-    def test_trace_serializes_to_json_lines(self):
-        import json
-
-        f = BooleanFunction.parity(5, [1, 2])
-        mo, so, _ = make_oracles(f, Distribution.uniform(5))
-        verdict = run_tester(mo, so, 1, 0.5, np.random.default_rng(29))
-        lines = [json.dumps(rec.to_json()) for rec in verdict.final_state.trace]
-        assert len(lines) == verdict.final_state.iteration
-        for i, line in enumerate(lines, 1):
-            rec = json.loads(line)
-            assert set(rec) == {"iteration", "action", "potential", "s_size", "num_cubes"}
-            assert rec["iteration"] == i and TraceAction(rec["action"])
-
     def test_parameter_validation(self):
         f = constant(4, 0)
         mo, so, _ = make_oracles(f, Distribution.uniform(4))
@@ -269,6 +256,15 @@ class TestRunTester:
             run_tester(mo, so, 4, 0.5, rng)
         with pytest.raises(ValueError):
             run_tester(mo, so, 2, 0.0, rng)
+
+    def test_oracles_must_share_one_ledger(self):
+        # the verdict reports the oracle's ledger, and cube searches charge
+        # their samples to the sample oracle's
+        f = BooleanFunction.parity(4, [1, 2])
+        mo, so = MembershipOracle(f), SampleOracle(Distribution.uniform(4))
+        with pytest.raises(ValueError, match="share one ledger"):
+            run_tester(mo, so, 1, 0.5, np.random.default_rng(0))
+        assert mo.ledger == so.ledger == QueryLedger()
 
     def test_amplified_variant_also_sound_and_complete(self):
         rng = np.random.default_rng(31)
@@ -308,7 +304,7 @@ def test_step_walk_keeps_invariants(fixture, variant, eps, seed):
     mo, so, _ = make_oracles(f, dist)
     rng = np.random.default_rng(seed)
     state = TesterState()
-    while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+    while len(state.trace) < 18 * k and len(state.s) + len(state.cubes) <= k:
         state = step(state, mo, so, k, eps, rng, variant)
         assert check_invariants(state, f)
 
@@ -316,7 +312,7 @@ def test_step_walk_keeps_invariants(fixture, variant, eps, seed):
 def reference_run(oracle, samples, k, eps, rng, variant):
     """The tester's loop with no fast-forward: one `step` per iteration."""
     state = TesterState()
-    while state.iteration < 18 * k and len(state.s) + len(state.cubes) <= k:
+    while len(state.trace) < 18 * k and len(state.s) + len(state.cubes) <= k:
         state = step(state, oracle, samples, k, eps, rng, variant)
     return state
 
@@ -371,8 +367,8 @@ def test_fast_forward_matches_the_step_loop(fixture, variant, eps, seed):
     assert verdict.decision is decision
     assert ledger == ref_ledger
     final = verdict.final_state
-    assert (final.s, final.cubes, final.fx, final.iteration) == (
-        ref.s, ref.cubes, ref.fx, ref.iteration
+    assert (final.s, final.cubes, final.fx, len(final.trace)) == (
+        ref.s, ref.cubes, ref.fx, len(ref.trace)
     )
     assert final.trace == ref.trace
 
@@ -388,7 +384,7 @@ def test_fast_forward_charges_every_iteration():
         mo, so, ledger = make_oracles(constant(5, 1), Distribution.uniform(5))
         verdict = run_tester(mo, so, k, eps, np.random.default_rng(0), variant)
         assert verdict.decision is Decision.ACCEPT
-        assert verdict.final_state.iteration == 18 * k
+        assert len(verdict.final_state.trace) == 18 * k
         assert [r.action for r in verdict.final_state.trace] == (
             [TraceAction.GENERATE_FAILED] * 18 * k
         )

@@ -79,12 +79,30 @@ def index_mask(members: Iterable[int], n: int) -> int:
 def _free_axes(n: int, kept: Iterable[int]) -> tuple[int, ...]:
     """Axes of the (2,)*n table view, where variable v is axis n - v, outside `kept`.
 
-    A sum over them has one entry per class of points that agree on `kept`, bit j
-    of its flat index being the j-th smallest kept variable; broadcast over them
-    (keepdims), it is read back at every point. Raises on out-of-range variables.
+    Broadcast over them, a per-class array in the order of `_class_reduce` is
+    read back at every point. Raises on out-of-range variables.
     """
     mask = index_mask(kept, n)
     return tuple(n - v for v in range(1, n + 1) if not mask >> (v - 1) & 1)
+
+
+def _class_reduce(values: np.ndarray, n: int, kept: Iterable[int], op=np.add) -> np.ndarray:
+    """`op` of a contiguous 2^n per-point array over each class of points that agree
+    on `kept`; bit j of a class index is the j-th smallest kept variable.
+
+    Walks variables n down to 1 on the array held as (classes, rest): a free one
+    becomes `op` of its two contiguous halves, a kept one the lowest class bit.
+    So no fold runs a length-2 inner loop. Raises on out-of-range variables.
+    """
+    mask = index_mask(kept, n)
+    a = values.reshape(1, -1)
+    for v in range(n, 0, -1):
+        halves = a.reshape(a.shape[0], 2, -1)
+        if mask >> (v - 1) & 1:
+            a = halves.reshape(-1, halves.shape[2])
+        else:
+            a = op(halves[:, 0], halves[:, 1])
+    return a.reshape(-1)
 
 
 def mask_indices(mask: int) -> frozenset[int]:

@@ -137,7 +137,7 @@ def cmd_spectrum(args) -> int:
 def cmd_gen(args) -> int:
     # the config refuses what does not apply, such as a far kind with a support size
     fixture = {"kind": "junta"} if args.kind == "junta" else {"kind": "far", "family": args.kind}
-    if args.support_size:
+    if args.support_size is not None:
         fixture.update(dist="sparse", support_size=args.support_size)
     config = _config(args.n, args, fixture=fixture)
     f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--support-size", type=int, default=0)
+    p.add_argument("--support-size", type=int, default=None)
     p.add_argument("--out-function", required=True)
     p.add_argument("--out-dist", required=True)
     p.add_argument("--out-certificate", default=None)

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from .boolfn import (
-    BitString, BooleanFunction, N_MAX, _document, _free_axes, _integral, _list, _number
+    BitString, BooleanFunction, N_MAX, _class_reduce, _document, _integral, _list, _number
 )
 
 WORK_CAP = 10**9
@@ -167,12 +167,10 @@ def best_junta_on(
     if dist.n != f.n:
         raise ValueError(f"distribution dimension {dist.n} != {f.n}")
     vars_ = tuple(sorted(set(variables)))
-    free = _free_axes(f.n, vars_)
-    w = dist.dense_weights().reshape((2,) * f.n)
-    table = f.table.reshape((2,) * f.n)
+    w = dist.dense_weights()
     # cost of answering 0 (resp. 1) in each class
-    cost0 = (w * table).sum(axis=free).reshape(-1)
-    cost1 = (w * (1 - table)).sum(axis=free).reshape(-1)
+    cost0 = _class_reduce(w * f.table, f.n, vars_)
+    cost1 = _class_reduce(w * (1 - f.table), f.n, vars_)
     inner = (cost1 < cost0).astype(np.uint8)
     error = float(np.minimum(cost0, cost1).sum())
     return BooleanFunction.from_junta(f.n, vars_, inner), error
@@ -186,9 +184,9 @@ def _subset_errors(
     A depth-first walk over variables 1..n on the stacked per-point costs
     (w*f, w*(1-f)), held as shape (2, rest, cells). Keeping variable v
     reshapes it into the next bit of the cell index, so bit j is the j-th
-    kept variable, the class order of `boolfn._free_axes`; dropping v sums
-    it out. Keep is tried before drop, and every subset reuses its parent's
-    marginals.
+    kept variable, the class order of `boolfn._class_reduce`; dropping v sums
+    it out. Every subset reuses its parent's marginals. Keep is tried before
+    drop, so subsets come in lexicographic order, which breaks certificate ties.
     """
     n = f.n
     w = dist.dense_weights()

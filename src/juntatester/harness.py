@@ -7,7 +7,7 @@ seed, so a report is a pure function of its configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import sqrt
 from typing import Mapping, Optional
 
@@ -204,17 +204,7 @@ class TrialReport:
     fixture_distance: Optional[float]
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "acceptances": self.acceptances,
-            "rejections": self.rejections,
-            "acceptance_rate": self.acceptance_rate,
-            "rejection_rate": self.rejection_rate,
-            "confidence_interval": list(self.confidence_interval),
-            "ledger_aggregates": self.ledger_aggregates,
-            "potential_growth_rate": self.potential_growth_rate,
-            "fixture_distance": self.fixture_distance,
-        }
+        return asdict(self)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

@@ -7,7 +7,7 @@ repeated queries at the same point are charged repeatedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .boolfn import BitString, BooleanFunction, DimensionMismatchError
 from .distribution import Distribution
@@ -26,11 +26,7 @@ class QueryLedger:
         return self.classical_queries + self.classical_samples + self.quantum_queries
 
     def to_json(self) -> dict:
-        return {
-            "classical_queries": self.classical_queries,
-            "classical_samples": self.classical_samples,
-            "quantum_queries": self.quantum_queries,
-        }
+        return asdict(self)
 
 
 @dataclass

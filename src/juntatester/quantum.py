@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .boolfn import (
-    BitString, BooleanFunction, Cube, _free_axes, index_mask, restricted_spectrum
+    BitString, BooleanFunction, Cube, _class_reduce, _free_axes, index_mask, restricted_spectrum
 )
 from .distribution import Distribution
 from .oracles import MembershipOracle, SampleOracle
@@ -88,8 +88,9 @@ def attempt_success_probability(
     if key in memo:
         return memo[key]
     free = _free_axes(n, fixed)
-    counts = f.table.reshape((2,) * n).sum(axis=free, dtype=np.int64, keepdims=True)
-    mu = np.broadcast_to(counts / (1 << len(free)), (2,) * n).reshape(-1)[dist.support]
+    counts = _class_reduce(f.table.astype(np.int64), n, fixed).reshape((2,) * (n - len(free)))
+    mu = np.broadcast_to(np.expand_dims(counts / (1 << len(free)), free), (2,) * n)
+    mu = mu.reshape(-1)[dist.support]
     fx = f.table[dist.support]
     memo[key] = float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
     return memo[key]
@@ -99,22 +100,18 @@ def _absorbing(f: BooleanFunction, dist: Distribution, fixed: frozenset[int]) ->
     """True when f is constant on the S-class of every support point of D, S = `fixed`:
     then p = 0 and every cube search fails. A zero-weight point counts too,
     which is only conservative, as `Distribution.sample_indices` never draws
-    one. The class counts of p and a uint8 mark of the support are reduced
-    over the free axes, with no 2^n-sized int64 or float64 temporary.
-    Memoized like p.
+    one. One uint8 code per point (bit 0: f = 0, bit 1: f = 1, bit 2: a support
+    point) is OR-folded per class by `_class_reduce`; a class that folds to 7
+    is mixed and holds a support point. Memoized like p.
     """
     memo, key = _memo(f, dist), ("absorbing", frozenset(fixed))
     if key in memo:
         return memo[key]
-    n = f.n
-    free = _free_axes(n, fixed)
-    counts = f.table.reshape((2,) * n).sum(axis=free, dtype=np.int64)
-    mixed = (0 < counts) & (counts < 1 << len(free))
-    if mixed.any():
-        marked = np.zeros(1 << n, dtype=np.uint8)
-        marked[dist.support] = 1
-        mixed &= marked.reshape((2,) * n).max(axis=free).astype(bool)
-    memo[key] = not mixed.any()
+    codes = np.zeros(1 << f.n, dtype=np.uint8)
+    codes[dist.support] = 4
+    codes += f.table
+    codes += 1
+    memo[key] = not (_class_reduce(codes, f.n, fixed, np.bitwise_or) == 7).any()
     return memo[key]
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import tracemalloc
@@ -12,6 +13,7 @@ from juntatester.boolfn import (
     BooleanFunction,
     Cube,
     DimensionMismatchError,
+    _class_reduce,
     cube_point_indices,
     index_mask,
     restricted_spectrum,
@@ -473,6 +475,31 @@ class TestProjectionRule:
             i for i in range(1, f.n + 1) for x in range(1 << f.n)
             if f.table[x] != f.table[x ^ (1 << (i - 1))]
         }
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_class_reduce_matches_a_loop_over_classes(self, data):
+        n = data.draw(st.integers(1, 8))
+        drawn = data.draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+        cases = [
+            (np.add, np.array(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=1 << n,
+                                                 max_size=1 << n)), dtype=np.int64)),
+            (np.add, np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1 << n,
+                                                 max_size=1 << n)), dtype=np.float64)),
+            (np.bitwise_or, np.array(data.draw(st.lists(st.integers(0, 255), min_size=1 << n,
+                                                        max_size=1 << n)), dtype=np.uint8)),
+        ]
+        for kept in ([], range(1, n + 1), drawn):
+            for op, values in cases:
+                got = _class_reduce(values, n, kept, op)
+                assert got.dtype == values.dtype
+                want = [functools.reduce(op, [values[x] for x in range(1 << n)
+                                              if cell_of(x, kept) == c])
+                        for c in range(1 << len(kept))]
+                if values.dtype == np.float64:
+                    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-6)
+                else:
+                    assert got.tolist() == [int(w) for w in want]
 
     def test_memory_per_point(self):
         """At n = 16, building a 4-junta peaks at <= 3 bytes per point (its table

@@ -461,6 +461,10 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
           "junta vars must be a JSON list, got int")),
         (["distance", "--k", "1"],
          ({"n": 2, "support": {"x": "00", "w": 1}}, "support must be a JSON list, got dict")),
+        (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--support-size", "0"],
+         (None, "support_size must be in 1..2^8, got 0")),
+        (["gen", "--kind", "parity", "--n", "8", "--k", "2", "--support-size", "0"],
+         (None, "['dist', 'support_size'] do not apply")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):

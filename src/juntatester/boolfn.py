@@ -14,6 +14,7 @@ from __future__ import annotations
 import base64
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -232,15 +233,22 @@ class BooleanFunction:
         if not 1 <= n <= N_MAX:  # every check comes before the 2^n table exists
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         vars_ = tuple(sorted(variables))
-        free = _free_axes(n, vars_)
+        mask = index_mask(vars_, n)
         if len(set(vars_)) != len(vars_):
             raise ValueError(f"junta variables repeat: {list(vars_)}")
         inner = np.asarray(inner_table, dtype=np.uint8)
         if inner.shape != (1 << len(vars_),):
             raise ValueError("inner table size does not match the variable set")
-        cells = np.expand_dims(inner.reshape((2,) * len(vars_)), free)
-        table = np.broadcast_to(cells, (2,) * n).flatten()
-        f = cls(n, table)
+        # `_class_reduce`'s walk inverted, on (classes, block) from variable 1 up, one
+        # step per maximal run: kept joins adjacent class rows, free tiles each row
+        table = inner.reshape(-1, 1).copy()  # so that the table never aliases `inner`
+        for kept, run in groupby(format(mask, f"0{n}b")[::-1]):
+            reps = 1 << len(list(run))
+            if kept == "1":
+                table = table.reshape(-1, table.shape[1] * reps)
+            else:
+                table = np.tile(table, (1, reps))
+        f = cls(n, table.reshape(-1))
         object.__setattr__(f, "junta_vars", vars_)
         object.__setattr__(f, "junta_inner", inner)
         return f
@@ -294,20 +302,6 @@ class BooleanFunction:
         return f
 
 
-def cube_point_indices(cube: Cube) -> tuple[tuple[int, ...], np.ndarray]:
-    """All 2^m point indices of the cube, in subset-mask order over sorted I(B).
-
-    Entry ``t`` of the returned array is ``x^T`` where bit j of ``t`` selects
-    the j-th smallest element of I(B).
-    """
-    positions = tuple(sorted(cube.disagreement))
-    idx = np.empty(1 << len(positions), dtype=np.int64)
-    idx[0] = cube.x.value
-    for j, i in enumerate(positions):
-        np.bitwise_xor(idx[: 1 << j], 1 << (i - 1), out=idx[1 << j : 2 << j])
-    return positions, idx
-
-
 def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
     """Unnormalized transform of a copy of `values`, one half-size temporary per
     in-place butterfly; output[S] = sum_T (-1)^{|S&T|} v[T]."""
@@ -333,7 +327,9 @@ class RestrictedSpectrum:
 
     Phases are referenced to corner x of the cube; ``coefficients[s]`` is the
     coefficient of the subset whose mask ``s`` selects elements of
-    ``positions`` (the sorted disagreement set).
+    ``positions``: the sorted variables of I(B) that f is built on (all of
+    I(B) unless f has a junta backing). Every other subset of I(B) has
+    coefficient 0.
     """
 
     positions: tuple[int, ...]
@@ -346,19 +342,31 @@ class RestrictedSpectrum:
         return self.coefficients ** 2
 
 
+# (axis transformed, x's bit) -> index of that axis of the (2,)*n view, so that
+# entry t of the slice is f(x^T)
+_AXIS = {("0", "0"): 0, ("0", "1"): 1, ("1", "0"): slice(None), ("1", "1"): slice(None, None, -1)}
+
+
 def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     """Exact Walsh-Hadamard spectrum of f restricted to the cube.
 
     The coefficient of S ⊆ I(B) is (1/|B|) Σ_{T⊆I(B)} (-1)^{f(x^T)+|S∩T|};
-    squared coefficients sum to 1.
+    squared coefficients sum to 1. f is read on B through one slice of its
+    (2,)*n view, and only the axes of I(B) that f is built on are transformed:
+    f is constant along the others, so a subset holding one has coefficient 0.
+    With r such axes every coefficient is an integer over 2^r, the same value
+    as over 2^|I(B)|.
     """
     if cube.n != f.n:
         raise DimensionMismatchError(f"cube dimension {cube.n} != {f.n}")
-    positions, idx = cube_point_indices(cube)
-    signs = np.multiply(f.table[idx], -2.0)
-    del idx
+    n, x = f.n, cube.x.value
+    read = (1 << n) - 1 if f.junta_vars is None else index_mask(f.junta_vars, n)
+    spanned = (x ^ cube.y.value) & read
+    axes = zip(format(spanned, f"0{n}b"), format(x, f"0{n}b"))
+    cells = f.table.reshape((2,) * n)[tuple(map(_AXIS.__getitem__, axes))]
+    signs = np.empty(1 << spanned.bit_count())
+    np.multiply(cells, -2.0, out=signs.reshape(cells.shape))
     signs += 1.0  # 1 - 2 f(x^T), bit for bit
     coeffs = walsh_hadamard(signs)
     coeffs /= coeffs.size
-    return RestrictedSpectrum(positions=positions, coefficients=coeffs)
-
+    return RestrictedSpectrum(positions=tuple(sorted(mask_indices(spanned))), coefficients=coeffs)

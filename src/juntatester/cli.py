@@ -121,10 +121,12 @@ def cmd_spectrum(args) -> int:
     if cube.n != f.n:
         raise CliError(f"cube dimension {cube.n} != function dimension {f.n}")
     spectrum = restricted_spectrum(f, cube)
-    coefficients = {
-        ",".join(str(i) for i in sorted(spectrum.subset_for_mask(mask))): float(c)
-        for mask, c in enumerate(spectrum.coefficients)
-    }
+    known = {spectrum.subset_for_mask(m): float(c) for m, c in enumerate(spectrum.coefficients)}
+    positions = sorted(cube.disagreement)  # every subset is printed, a zero one as 0.0
+    coefficients = {}
+    for mask in range(1 << len(positions)):
+        subset = [v for j, v in enumerate(positions) if mask >> j & 1]
+        coefficients[",".join(map(str, subset))] = known.get(frozenset(subset), 0.0)
     _emit(
         {
             "coefficients": coefficients,

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juntatester import boolfn
 from juntatester.boolfn import (
     BitString,
     BooleanFunction,
     Cube,
     DimensionMismatchError,
     _class_reduce,
-    cube_point_indices,
     index_mask,
     restricted_spectrum,
     walsh_hadamard,
@@ -39,8 +39,17 @@ def coefficient_of(spectrum, subset):
     return float(spectrum.coefficients[mask])
 
 
+def cube_indices(cube):
+    """The 2^m point indices of the cube by concatenation: entry t is x^T, where bit
+    j of t selects the j-th smallest element of I(B)."""
+    idx = np.array([cube.x.value], dtype=np.int64)
+    for i in sorted(cube.disagreement):
+        idx = np.concatenate([idx, idx ^ (1 << (i - 1))])
+    return idx
+
+
 def point_strings(cube):
-    return [BitString(cube.n, int(v)).to_str() for v in cube_point_indices(cube)[1]]
+    return [BitString(cube.n, int(v)).to_str() for v in cube_indices(cube)]
 
 
 @st.composite
@@ -201,14 +210,10 @@ def reference_walsh_hadamard(values):
 
 
 def reference_spectrum(f, cube):
-    """The restricted spectrum built out of place: point indices by concatenation,
+    """The full restricted spectrum built out of place over every point of the cube:
     signs as 1 - 2f, the copying transform, then one division."""
-    positions = tuple(sorted(cube.disagreement))
-    idx = np.array([cube.x.value], dtype=np.int64)
-    for i in positions:
-        idx = np.concatenate([idx, idx ^ (1 << (i - 1))])
-    signs = 1.0 - 2.0 * f.table[idx].astype(np.float64)
-    return positions, idx, reference_walsh_hadamard(signs) / signs.size
+    signs = 1.0 - 2.0 * f.table[cube_indices(cube)].astype(np.float64)
+    return tuple(sorted(cube.disagreement)), reference_walsh_hadamard(signs) / signs.size
 
 
 class TestWalshHadamard:
@@ -287,7 +292,7 @@ class TestRestrictedSpectrum:
             )
             sp = restricted_spectrum(f, B)
             assert (sp.coefficients ** 2).sum() == pytest.approx(1.0, abs=TOL)
-            signs = [(-1) ** int(f.table[v]) for v in cube_point_indices(B)[1]]
+            signs = [(-1) ** int(f.table[v]) for v in cube_indices(B)]
             assert coefficient_of(sp, []) == pytest.approx(
                 sum(signs) / len(signs), abs=TOL
             )
@@ -310,16 +315,37 @@ class TestRestrictedSpectrum:
     @settings(max_examples=100, deadline=None)
     @given(functions(), st.integers(0, 2**32 - 1))
     def test_bits_match_the_reference(self, f, seed):
-        """The printed coefficients keep every bit, the sign of zero included."""
+        """The coefficients keep every bit of the full transform's, the sign of zero
+        included; every subset holding a variable that a junta-backed f does not
+        read is +0.0 there."""
         rng = np.random.default_rng(seed)
         cube = Cube(BitString(f.n, int(rng.integers(0, 1 << f.n))),
                     BitString(f.n, int(rng.integers(0, 1 << f.n))))
-        positions, idx, coeffs = reference_spectrum(f, cube)
-        assert cube_point_indices(cube)[0] == positions
-        assert cube_point_indices(cube)[1].tobytes() == idx.tobytes()
+        positions, coeffs = reference_spectrum(f, cube)
+        read = range(1, f.n + 1) if f.junta_vars is None else f.junta_vars
         sp = restricted_spectrum(f, cube)
-        assert sp.positions == positions
-        assert sp.coefficients.tobytes() == coeffs.tobytes()
+        assert sp.positions == tuple(v for v in positions if v in read)
+        outside = sum(1 << j for j, v in enumerate(positions) if v not in read)
+        inside = [m for m in range(coeffs.size) if not m & outside]
+        assert sp.coefficients.tobytes() == coeffs[inside].tobytes()
+        others = np.delete(coeffs, inside)
+        assert others.tobytes() == np.zeros_like(others).tobytes()
+
+    def test_transforms_only_the_variables_a_junta_reads(self, monkeypatch):
+        """A 4-junta on a 16-dimensional cube at n = 20: one transform of 2^4 entries."""
+        sizes = []
+
+        def recording(values):
+            sizes.append(len(values))
+            return walsh_hadamard(values)
+
+        monkeypatch.setattr(boolfn, "walsh_hadamard", recording)
+        f = BooleanFunction.parity(20, [2, 5, 7, 11])
+        B = Cube(BitString(20, 0), BitString(20, (1 << 16) - 1))
+        sp = restricted_spectrum(f, B)
+        assert sizes == [1 << 4]
+        assert sp.positions == (2, 5, 7, 11)
+        assert coefficient_of(sp, [2, 5, 7, 11]) == 1.0
 
     def test_corner_convention_is_immaterial_for_squares(self):
         rng = np.random.default_rng(29)

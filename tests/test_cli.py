@@ -257,6 +257,25 @@ class TestSpectrumCommand:
         )
         assert code == 2
 
+    def test_junta_output_bytes_are_pinned(self, capsys, tmp_path):
+        """Every subset of I(B) is printed, the ones holding a variable the junta
+        does not read as 0.0: the bytes of the full 2^12-point transform."""
+        fpath, dpath = str(tmp_path / "f.json"), str(tmp_path / "d.json")
+        code, _, _ = run_cli(
+            capsys, "gen", "--kind", "junta", "--n", "12", "--k", "3", "--seed", "5",
+            "--out-function", fpath, "--out-dist", dpath,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--function", fpath,
+            "--cube-x", "000000000000", "--cube-y", "111111111111",
+        )
+        assert code == 0
+        assert len(json.loads(out)["coefficients"]) == 1 << 12
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "78a9c14778e5401a6450bf34d4d4961210116ba23576cff9491ec17982dec7bc"
+        )
+
 
 class TestExperimentCommand:
     def test_completeness_config(self, capsys, tmp_path):

@@ -77,16 +77,6 @@ def index_mask(members: Iterable[int], n: int) -> int:
     return mask
 
 
-def _free_axes(n: int, kept: Iterable[int]) -> tuple[int, ...]:
-    """Axes of the (2,)*n table view, where variable v is axis n - v, outside `kept`.
-
-    Broadcast over them, a per-class array in the order of `_class_reduce` is
-    read back at every point. Raises on out-of-range variables.
-    """
-    mask = index_mask(kept, n)
-    return tuple(n - v for v in range(1, n + 1) if not mask >> (v - 1) & 1)
-
-
 def _class_reduce(values: np.ndarray, n: int, kept: Iterable[int], op=np.add) -> np.ndarray:
     """`op` of a contiguous 2^n per-point array over each class of points that agree
     on `kept`; bit j of a class index is the j-th smallest kept variable.
@@ -103,6 +93,25 @@ def _class_reduce(values: np.ndarray, n: int, kept: Iterable[int], op=np.add) ->
             a = halves.reshape(-1, halves.shape[2])
         else:
             a = op(halves[:, 0], halves[:, 1])
+    return a.reshape(-1)
+
+
+def _class_expand(per_class: np.ndarray, n: int, kept: Iterable[int]) -> np.ndarray:
+    """The exact inverse of `_class_reduce`: a new contiguous 2^n array holding at
+    each point its class's entry of `per_class`, in `_class_reduce`'s class order.
+
+    Walks (classes, block) from variable 1 up, one step per maximal run: a kept
+    run joins adjacent class rows, a free run tiles each row. Raises on
+    out-of-range variables before the 2^n array exists.
+    """
+    mask = index_mask(kept, n)
+    a = per_class.reshape(-1, 1).copy()
+    for is_kept, run in groupby(format(mask, f"0{n}b")[::-1]):
+        reps = 1 << len(list(run))
+        if is_kept == "1":
+            a = a.reshape(-1, a.shape[1] * reps)
+        else:
+            a = np.tile(a, (1, reps))
     return a.reshape(-1)
 
 
@@ -202,14 +211,13 @@ class BooleanFunction:
     """A total function {0,1}^n -> {0,1} held as a dense truth table.
 
     ``table[i]`` is the value at the point whose integer form is ``i``.
-    ``junta_vars``/``junta_inner`` are set only by `from_junta`, and record
-    that the function was built from an inner table over those variables.
+    ``junta_vars`` is set only by `from_junta`, and records that the function
+    was built from an inner table over those variables.
     """
 
     n: int
     table: np.ndarray
     junta_vars: Optional[tuple[int, ...]] = field(default=None, init=False)
-    junta_inner: Optional[np.ndarray] = field(default=None, init=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= N_MAX:
@@ -233,24 +241,13 @@ class BooleanFunction:
         if not 1 <= n <= N_MAX:  # every check comes before the 2^n table exists
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
         vars_ = tuple(sorted(variables))
-        mask = index_mask(vars_, n)
         if len(set(vars_)) != len(vars_):
             raise ValueError(f"junta variables repeat: {list(vars_)}")
         inner = np.asarray(inner_table, dtype=np.uint8)
         if inner.shape != (1 << len(vars_),):
             raise ValueError("inner table size does not match the variable set")
-        # `_class_reduce`'s walk inverted, on (classes, block) from variable 1 up, one
-        # step per maximal run: kept joins adjacent class rows, free tiles each row
-        table = inner.reshape(-1, 1).copy()  # so that the table never aliases `inner`
-        for kept, run in groupby(format(mask, f"0{n}b")[::-1]):
-            reps = 1 << len(list(run))
-            if kept == "1":
-                table = table.reshape(-1, table.shape[1] * reps)
-            else:
-                table = np.tile(table, (1, reps))
-        f = cls(n, table.reshape(-1))
+        f = cls(n, _class_expand(inner, n, vars_))  # which checks the variables' range
         object.__setattr__(f, "junta_vars", vars_)
-        object.__setattr__(f, "junta_inner", inner)
         return f
 
     @classmethod
@@ -277,10 +274,11 @@ class BooleanFunction:
 
     def to_json(self) -> dict:
         doc = {"n": self.n, "table": "0x" + _pack_table(self.table).hex()}
-        if self.junta_vars is not None:
+        if self.junta_vars is not None:  # each class of a junta is constant
+            inner = _class_reduce(self.table, self.n, self.junta_vars, np.bitwise_or)
             doc["junta"] = {
                 "vars": list(self.junta_vars),
-                "inner_table": "".join(str(int(b)) for b in self.junta_inner),
+                "inner_table": "".join(str(int(b)) for b in inner),
             }
         return doc
 

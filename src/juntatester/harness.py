@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, N_MAX, _document, _integral, _number
+from .boolfn import BitString, BooleanFunction, N_MAX, _class_expand, _document, _integral, _number
 from .distribution import (
     WORK_CAP, DistanceCertificate, Distribution, WorkCapExceededError, distance_to_k_junta
 )
@@ -68,12 +68,12 @@ def _far_candidate(
     free_vars = sorted(order[n_fixed:].tolist())
     parity_vars = sorted(rng.choice(np.array(free_vars), size=k + 1, replace=False).tolist())
     anchor = int(rng.integers(0, 1 << n))
-    # the subcube is one slice of the (2,)*n view, where variable v is axis n - v
-    corner = tuple(anchor >> (v - 1) & 1 if v in fixed_vars else slice(None)
-                   for v in range(n, 0, -1))
-    in_cube = np.zeros((2,) * n, dtype=bool)
-    in_cube[corner] = True
-    table = BooleanFunction.parity(n, parity_vars).table * in_cube.reshape(-1)
+    # the subcube is the S-class of the anchor for S = fixed_vars, whose class bit j
+    # is the j-th smallest fixed variable
+    one_hot = np.zeros(1 << n_fixed, dtype=bool)
+    one_hot[sum((anchor >> (v - 1) & 1) << j for j, v in enumerate(fixed_vars))] = True
+    in_cube = _class_expand(one_hot, n, fixed_vars)
+    table = BooleanFunction.parity(n, parity_vars).table * in_cube
     dist = Distribution(n, np.flatnonzero(in_cube), np.full(1 << (n - n_fixed), 1.0))
     return BooleanFunction(n, table), dist
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .boolfn import (
-    BitString, BooleanFunction, Cube, _class_reduce, _free_axes, index_mask, restricted_spectrum
+    BitString, BooleanFunction, Cube, _class_expand, _class_reduce, index_mask, restricted_spectrum
 )
 from .distribution import Distribution
 from .oracles import MembershipOracle, SampleOracle
@@ -53,11 +53,10 @@ def fourier_sample_many(
     if count < 1:
         raise ValueError("count must be positive")
     spectrum = restricted_spectrum(oracle.function, cube)
-    cum = spectrum.squared()
-    cum /= cum.sum()  # shed float drift; exact mass is 1
-    np.cumsum(cum, out=cum)
+    # coefficients are integers over 2^r, r <= 24: the sums are exact and end at 1.0
+    cum = np.cumsum(spectrum.squared())
     oracle.charge_quantum(count)
-    masks = np.minimum(np.searchsorted(cum, rng.random(count), side="right"), cum.size - 1)
+    masks = np.searchsorted(cum, rng.random(count), side="right")
     return [spectrum.subset_for_mask(int(m)) for m in masks]
 
 
@@ -78,8 +77,9 @@ def attempt_success_probability(
 
     For x with a given restriction to S, the points x^T sweep uniformly over
     the subcube that agrees with x on S, so the inner probability depends only
-    on the class mean of f over that subcube: its exact count of ones over the
-    class size, read back at the support of D.
+    on μ(x), the class mean of f over that subcube: its exact count of ones
+    over the class size. So p = Σ_x D(x)·|f(x) − μ(x)|, with μ read back at the
+    support of D through `_class_expand`. Each term is exactly 1 − μ or μ.
     """
     n = f.n
     if dist.n != n:
@@ -87,12 +87,12 @@ def attempt_success_probability(
     memo, key = _memo(f, dist), ("p", frozenset(fixed))
     if key in memo:
         return memo[key]
-    free = _free_axes(n, fixed)
-    counts = _class_reduce(f.table.astype(np.int64), n, fixed).reshape((2,) * (n - len(free)))
-    mu = np.broadcast_to(np.expand_dims(counts / (1 << len(free)), free), (2,) * n)
-    mu = mu.reshape(-1)[dist.support]
-    fx = f.table[dist.support]
-    memo[key] = float(np.sum(dist.probs * (fx * (1.0 - mu) + (1.0 - fx) * mu)))
+    counts = _class_reduce(f.table.astype(np.int64), n, fixed)
+    mu = _class_expand(counts / ((1 << n) // counts.size), n, fixed)[dist.support]
+    np.subtract(f.table[dist.support], mu, out=mu)
+    np.abs(mu, out=mu)
+    mu *= dist.probs
+    memo[key] = float(np.sum(mu))
     return memo[key]
 
 

@@ -14,6 +14,7 @@ from juntatester.boolfn import (
     BooleanFunction,
     Cube,
     DimensionMismatchError,
+    _class_expand,
     _class_reduce,
     index_mask,
     restricted_spectrum,
@@ -347,6 +348,27 @@ class TestRestrictedSpectrum:
         assert sp.positions == (2, 5, 7, 11)
         assert coefficient_of(sp, [2, 5, 7, 11]) == 1.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_squares_sum_to_exactly_one(self, n, junta, seed):
+        """Every coefficient is an integer over 2^r, so the Fourier draw's cumulative
+        table ends at exactly 1.0 and a draw u < 1 never runs past it."""
+        rng = np.random.default_rng(seed)
+        if junta:
+            k = int(rng.integers(0, n + 1))
+            variables = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
+            f = BooleanFunction.from_junta(n, variables, rng.integers(0, 2, size=1 << k))
+        else:
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+        cube = Cube(BitString(n, int(rng.integers(0, 1 << n))),
+                    BitString(n, int(rng.integers(0, 1 << n))))
+        assert np.cumsum(restricted_spectrum(f, cube).squared())[-1] == 1.0
+
+    def test_squares_sum_to_exactly_one_on_a_full_cube_at_n20(self):
+        f = BooleanFunction(20, np.random.default_rng(31).integers(0, 2, size=1 << 20))
+        cube = Cube(BitString(20, 0), BitString(20, (1 << 20) - 1))
+        assert np.cumsum(restricted_spectrum(f, cube).squared())[-1] == 1.0
+
     def test_corner_convention_is_immaterial_for_squares(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
@@ -526,6 +548,27 @@ class TestProjectionRule:
                     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-6)
                 else:
                     assert got.tolist() == [int(w) for w in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_class_expand_matches_a_loop_over_points(self, data, seed):
+        n = data.draw(st.integers(1, 8))
+        drawn = data.draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+        rng = np.random.default_rng(seed)
+        for kept in ([], list(range(1, n + 1)), drawn):
+            size = 1 << len(kept)
+            cases = [
+                rng.integers(0, 256, size=size, dtype=np.uint8),
+                rng.random(size) < 0.5,
+                rng.uniform(-1e6, 1e6, size=size),
+            ]
+            for per_class in cases:
+                got = _class_expand(per_class, n, kept)
+                assert got.dtype == per_class.dtype and got.flags.c_contiguous
+                assert not np.shares_memory(got, per_class)
+                assert got.tolist() == [per_class[cell_of(x, kept)] for x in range(1 << n)]
+                back = _class_reduce(got, n, kept, np.maximum)
+                assert back.tobytes() == per_class.tobytes()
 
     def test_memory_per_point(self):
         """At n = 16, building a 4-junta peaks at <= 3 bytes per point (its table

@@ -118,7 +118,8 @@ class TestAbsorbing:
                         assert attempt_success_probability(f, dist, fixed) == 0.0
 
     def test_a_zero_weight_last_support_point_counts(self):
-        """`sample_indices` can return the last support entry whatever its weight."""
+        """`_absorbing` counts a zero-weight support point, though `sample_indices`
+        never draws one: a zero-weight last entry still makes S non-absorbing."""
         f = BooleanFunction.from_junta(3, [1, 2], [0, 0, 0, 1])  # x1 AND x2
         # the weighted point has x1 = 0, where f is 0; the last one has x1 = 1
         dist = Distribution(3, np.array([0, 1]), np.array([1.0, 0.0]))
@@ -177,6 +178,20 @@ class TestAttemptMemo:
                     assert attempt_success_probability(f, d, fixed) == (
                         reference_attempt_probability(f, d, fixed)
                     )
+
+    def test_memory_per_point_on_a_miss(self):
+        """At n = 16 under uniform D a miss of p peaks at <= 17 bytes per point: μ
+        expanded to every point and gathered at the support, 8 bytes each."""
+        n = 16
+        f = BooleanFunction.from_junta(n, [3, 9], [0, 1, 1, 0])
+        dist = Distribution.uniform(n)
+        tracemalloc.start()
+        try:
+            assert attempt_success_probability(f, dist, frozenset({9})) == 0.5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 << n
 
     def test_memoized_p_equals_the_formula(self):
         rng = np.random.default_rng(7)

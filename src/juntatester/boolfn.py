@@ -100,19 +100,23 @@ def _class_expand(per_class: np.ndarray, n: int, kept: Iterable[int]) -> np.ndar
     """The exact inverse of `_class_reduce`: a new contiguous 2^n array holding at
     each point its class's entry of `per_class`, in `_class_reduce`'s class order.
 
-    Walks (classes, block) from variable 1 up, one step per maximal run: a kept
-    run joins adjacent class rows, a free run tiles each row. Raises on
-    out-of-range variables before the 2^n array exists.
+    Builds blocks of variables 1..12 as (classes, block), one step per maximal
+    run (a kept run joins adjacent class rows, a free run tiles each row), then
+    assigns them to the one 2^n result in a single broadcast over the runs of
+    the variables above: a kept run's axis indexes class bits, a free run's
+    axis repeats. Raises on out-of-range variables before the 2^n array exists.
     """
-    mask = index_mask(kept, n)
-    a = per_class.reshape(-1, 1).copy()
-    for is_kept, run in groupby(format(mask, f"0{n}b")[::-1]):
+    bits = format(index_mask(kept, n), f"0{n}b")  # variable n first
+    split = max(n - 12, 0)
+    a = per_class.reshape(-1, 1)
+    for is_kept, run in groupby(bits[split:][::-1]):
         reps = 1 << len(list(run))
-        if is_kept == "1":
-            a = a.reshape(-1, a.shape[1] * reps)
-        else:
-            a = np.tile(a, (1, reps))
-    return a.reshape(-1)
+        a = a.reshape(-1, a.shape[1] * reps) if is_kept == "1" else np.tile(a, (1, reps))
+    runs = [(is_kept == "1", 1 << len(list(run))) for is_kept, run in groupby(bits[:split])]
+    out = np.empty(1 << n, dtype=per_class.dtype)
+    out.reshape([size for _, size in runs] + [-1])[...] = a.reshape(
+        [size if is_kept else 1 for is_kept, size in runs] + [a.shape[1]])
+    return out
 
 
 def mask_indices(mask: int) -> frozenset[int]:

@@ -20,28 +20,30 @@ class WorkCapExceededError(RuntimeError):
     """Raised when a computation would exceed the work cap; the CLI exits 4."""
 
 
-@dataclass(frozen=True, eq=False)  # identity equality and hash: the fields are arrays
+@dataclass(frozen=True, eq=False, init=False)  # identity equality and hash
 class Distribution:
-    """A probability distribution over {0,1}^n with explicit support.
+    """A probability distribution over {0,1}^n.
 
     ``support`` holds point indices; ``probs`` the matching probabilities,
     normalized on construction. A dense distribution simply has full support.
+    ``uniform(n)`` stores no 2^n table: it draws floor(u·2^n), and its
+    ``support`` and ``probs`` are built on each read. Privately, ``_index``
+    and ``_weights`` place the support in a 2^n table; uniform D holds the
+    whole-table slice and the scalar 2^-n there.
     """
 
     n: int
-    support: np.ndarray
-    probs: np.ndarray
 
-    def __post_init__(self):
-        if not 1 <= self.n <= N_MAX:
-            raise ValueError(f"dimension must be in 1..{N_MAX}, got {self.n}")
-        support = np.ascontiguousarray(self.support, dtype=np.int64)
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+    def __init__(self, n: int, support, probs):
+        if not 1 <= n <= N_MAX:
+            raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
+        support = np.ascontiguousarray(support, dtype=np.int64)
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
         if support.ndim != 1 or support.shape != probs.shape:
             raise ValueError("support and probabilities must be 1-d and aligned")
         if support.size == 0:
             raise ValueError("empty support")
-        if np.any(support < 0) or np.any(support >= (1 << self.n)):
+        if np.any(support < 0) or np.any(support >= (1 << n)):
             raise ValueError("support point out of range")
         ordered = np.sort(support)
         if np.any(ordered[1:] == ordered[:-1]):
@@ -54,13 +56,19 @@ class Distribution:
         if total <= 0:
             raise ValueError("weights must not all be zero")
         probs = probs / total
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
         cum = np.cumsum(probs)
         # the sum may end below 1: a draw past it lands on the last positive
         # weight, never on a zero-weight point after it
         cum[-1 if probs[-1] else np.flatnonzero(probs)[-1]:] = np.inf
-        object.__setattr__(self, "_cum", cum)
+        vars(self).update(n=n, _index=support, _weights=probs, _cum=cum)
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.arange(1 << self.n, dtype=np.int64) if self._cum is None else self._index
+
+    @property
+    def probs(self) -> np.ndarray:
+        return np.full(1 << self.n, 2.0 ** -self.n) if self._cum is None else self._weights
 
     # -- constructors -------------------------------------------------
 
@@ -90,7 +98,11 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        return cls.dense(n, np.full(1 << n, 1.0))
+        if not 1 <= n <= N_MAX:  # before anything of size 2^n
+            raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
+        dist = cls.__new__(cls)
+        vars(dist).update(n=n, _index=slice(None), _weights=2.0 ** -n, _cum=None)
+        return dist
 
     @classmethod
     def point_mass(cls, x: BitString) -> "Distribution":
@@ -100,16 +112,19 @@ class Distribution:
 
     def dense_weights(self) -> np.ndarray:
         w = np.zeros(1 << self.n, dtype=np.float64)
-        w[self.support] = self.probs
+        w[self._index] = self._weights
         return w
 
     def sample_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.support[np.searchsorted(self._cum, rng.random(count), side="right")]
+        u = rng.random(count)
+        if self._cum is None:  # a uniform cumulative table holds exactly (i+1)·2^-n
+            return (u * (1 << self.n)).astype(np.int64)
+        return self._index[np.searchsorted(self._cum, u, side="right")]
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.support.size == (1 << self.n):
+        if self._cum is None or self._index.size == 1 << self.n:
             return {"n": self.n, "dense": [float(p) for p in self.dense_weights()]}
         return {
             "n": self.n,

@@ -56,8 +56,9 @@ def fourier_sample_many(
     # coefficients are integers over 2^r, r <= 24: the sums are exact and end at 1.0
     cum = np.cumsum(spectrum.squared())
     oracle.charge_quantum(count)
-    masks = np.searchsorted(cum, rng.random(count), side="right")
-    return [spectrum.subset_for_mask(int(m)) for m in masks]
+    masks = np.searchsorted(cum, rng.random(count), side="right").tolist()
+    subsets = {m: spectrum.subset_for_mask(m) for m in set(masks)}  # one per outcome
+    return [subsets[m] for m in masks]
 
 
 # dist -> f -> {(kind, S): value}, keyed by identity: an entry dies with f or D.
@@ -78,8 +79,9 @@ def attempt_success_probability(
     For x with a given restriction to S, the points x^T sweep uniformly over
     the subcube that agrees with x on S, so the inner probability depends only
     on μ(x), the class mean of f over that subcube: its exact count of ones
-    over the class size. So p = Σ_x D(x)·|f(x) − μ(x)|, with μ read back at the
-    support of D through `_class_expand`. Each term is exactly 1 − μ or μ.
+    over the class size. So p = Σ_x D(x)·|f(x) − μ(x)|, with μ expanded by
+    `_class_expand` and read at D's support: under uniform D the whole table,
+    times the scalar 2^-n. Each term is exactly 1 − μ or μ.
     """
     n = f.n
     if dist.n != n:
@@ -88,27 +90,28 @@ def attempt_success_probability(
     if key in memo:
         return memo[key]
     counts = _class_reduce(f.table.astype(np.int64), n, fixed)
-    mu = _class_expand(counts / ((1 << n) // counts.size), n, fixed)[dist.support]
-    np.subtract(f.table[dist.support], mu, out=mu)
+    mu = _class_expand(counts / ((1 << n) // counts.size), n, fixed)[dist._index]
+    np.subtract(f.table[dist._index], mu, out=mu)
     np.abs(mu, out=mu)
-    mu *= dist.probs
+    mu *= dist._weights
     memo[key] = float(np.sum(mu))
     return memo[key]
 
 
 def _absorbing(f: BooleanFunction, dist: Distribution, fixed: frozenset[int]) -> bool:
     """True when f is constant on the S-class of every support point of D, S = `fixed`:
-    then p = 0 and every cube search fails. A zero-weight point counts too,
-    which is only conservative, as `Distribution.sample_indices` never draws
-    one. One uint8 code per point (bit 0: f = 0, bit 1: f = 1, bit 2: a support
-    point) is OR-folded per class by `_class_reduce`; a class that folds to 7
-    is mixed and holds a support point. Memoized like p.
+    then p = 0 and every cube search fails. Under uniform D every point is a
+    support point. A zero-weight point counts too, which is only conservative,
+    as `Distribution.sample_indices` never draws one. One uint8 code per point
+    (bit 0: f = 0, bit 1: f = 1, bit 2: a support point) is OR-folded per class
+    by `_class_reduce`; a class that folds to 7 is mixed and holds a support
+    point. Memoized like p.
     """
     memo, key = _memo(f, dist), ("absorbing", frozenset(fixed))
     if key in memo:
         return memo[key]
     codes = np.zeros(1 << f.n, dtype=np.uint8)
-    codes[dist.support] = 4
+    codes[dist._index] = 4
     codes += f.table
     codes += 1
     memo[key] = not (_class_reduce(codes, f.n, fixed, np.bitwise_or) == 7).any()

@@ -147,12 +147,9 @@ def test_criterion_03_fourier_sampler_exactness():
         # chi-square goodness of fit over 1e5 draws at significance 0.001
         draws = fourier_sample_many(MembershipOracle(f), cube, rng, 100_000)
         masks = np.zeros(probs.size, dtype=np.int64)
-        position_of = {v: j for j, v in enumerate(spectrum.positions)}
+        mask_of = {spectrum.subset_for_mask(m): m for m in range(probs.size)}
         for subset in draws:
-            m = 0
-            for v in subset:
-                m |= 1 << position_of[v]
-            masks[m] += 1
+            masks[mask_of[subset]] += 1
         keep = probs > 1e-12
         assert masks[~keep].sum() == 0  # nothing lands outside the support
         if keep.sum() >= 2:

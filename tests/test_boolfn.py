@@ -538,12 +538,13 @@ class TestProjectionRule:
                                                         max_size=1 << n)), dtype=np.uint8)),
         ]
         for kept in ([], range(1, n + 1), drawn):
+            members = [[] for _ in range(1 << len(kept))]  # each class's points, increasing
+            for x in range(1 << n):
+                members[cell_of(x, kept)].append(x)
             for op, values in cases:
                 got = _class_reduce(values, n, kept, op)
                 assert got.dtype == values.dtype
-                want = [functools.reduce(op, [values[x] for x in range(1 << n)
-                                              if cell_of(x, kept) == c])
-                        for c in range(1 << len(kept))]
+                want = [functools.reduce(op, [values[x] for x in xs]) for xs in members]
                 if values.dtype == np.float64:
                     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-6)
                 else:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from juntatester import distribution
-from juntatester.boolfn import BitString, BooleanFunction
+from juntatester.boolfn import N_MAX, BitString, BooleanFunction
 from juntatester.distribution import (
     Distribution,
     WorkCapExceededError,
@@ -117,6 +118,55 @@ class TestMakeDistribution:
         assert d.sample_indices(LastFloat(), 2).tolist() == [6, 6]
         d = Distribution.sparse(4, {**{i: 1 for i in range(7)}, 12: 0, 9: 0})
         assert d.sample_indices(LastFloat(), 1).tolist() == [6]
+
+
+class TestUniformForm:
+    """`Distribution.uniform(n)` keeps no 2^n table; it must behave exactly like
+    the explicit dense D with equal weights on every point."""
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 16, 20])
+    def test_draws_match_the_dense_form(self, n):
+        """Pins the draw floor(u·2^n): the same points as searchsorted on the exact
+        cumulative table (i+1)·2^-n, and the same RNG use (the next draw agrees)."""
+        uniform, dense = Distribution.uniform(n), Distribution.dense(n, np.ones(1 << n))
+        for seed in (0, 1, 2**32 - 1):
+            rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            for count in (1, 7, 20_000):
+                got = uniform.sample_indices(rng, count)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, dense.sample_indices(rng2, count))
+            assert rng.random() == rng2.random()
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_serialization_matches_the_dense_form(self, n):
+        """Pins the read-back of the uniform form: the same JSON document, dense
+        weights, support and probabilities as the explicit dense D."""
+        uniform, dense = Distribution.uniform(n), Distribution.dense(n, np.ones(1 << n))
+        assert uniform.to_json() == dense.to_json()
+        for got, want in ((uniform.dense_weights(), dense.dense_weights()),
+                          (uniform.support, dense.support), (uniform.probs, dense.probs)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_construction_allocates_no_table(self):
+        """Pins the form itself: at n = 20 the 2^n tables would take 24 MiB."""
+        tracemalloc.start()
+        try:
+            Distribution.uniform(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+
+    def test_dimension_checked_before_any_allocation(self):
+        """Pins the order: n = N_MAX + 1 is refused before a 2^n array exists."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension"):
+                Distribution.uniform(N_MAX + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestBestJuntaOn:

@@ -142,6 +142,27 @@ class TestAbsorbing:
         assert peak <= 2 << n
 
 
+class TestUniformForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_p_and_absorbing_match_the_dense_form(self, data, seed):
+        """Pins p and `_absorbing` under `Distribution.uniform`, which reads the whole
+        table with the scalar weight 2^-n, to `==` those under the explicit dense D."""
+        n = data.draw(st.integers(1, 10))
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            variables = data.draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+            f = BooleanFunction.from_junta(
+                n, variables, rng.integers(0, 2, size=1 << len(variables)))
+        else:
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+        fixed = frozenset(data.draw(st.sets(st.integers(1, n))))
+        uniform, dense = Distribution.uniform(n), Distribution.dense(n, np.ones(1 << n))
+        assert attempt_success_probability(f, uniform, fixed) == (
+            attempt_success_probability(f, dense, fixed))
+        assert _absorbing(f, uniform, fixed) == _absorbing(f, dense, fixed)
+
+
 class TestAttemptMemo:
     def test_entries_die_with_f_and_dist(self):
         gc.collect()

@@ -260,20 +260,6 @@ class BooleanFunction:
         inner = np.array([v.bit_count() & 1 for v in range(1 << len(vars_))], dtype=np.uint8)
         return cls.from_junta(n, vars_, inner)
 
-    # -- evaluation ----------------------------------------------------
-
-    def eval(self, x: BitString) -> int:
-        if x.n != self.n:
-            raise DimensionMismatchError(f"point dimension {x.n} != {self.n}")
-        return int(self.table[x.value])
-
-    # -- structure -----------------------------------------------------
-
-    def relevant_variables(self) -> frozenset[int]:
-        """Exact set of variables i with f(x) != f(x^i) for some x."""
-        view = self.table.reshape((2,) * self.n)  # the halves x_i = 0, 1 of axis n - i
-        return frozenset(i for i in range(1, self.n + 1) if np.diff(view, axis=self.n - i).any())
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:

@@ -19,10 +19,9 @@ from .harness import (
     FixtureError,
     build_fixture,
     derive_rng,
+    run_trial,
     run_trials,
 )
-from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .tester import run_tester
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,16 +81,7 @@ def _config(n: int, args, **fields) -> ExperimentConfig:
 def cmd_run(args) -> int:
     f, dist = _load_pair(args)
     config = _config(f.n, args, variant=args.variant)
-    ledger = QueryLedger()
-    verdict = run_tester(
-        MembershipOracle(f, ledger),
-        SampleOracle(dist, ledger),
-        config.k,
-        config.eps,
-        derive_rng(config.master_seed, 1),
-        config.variant,
-    )
-    _emit(verdict.to_json())
+    _emit(run_trial(f, dist, config, 0).to_json())  # trial 0 of `experiment` on these files
     return EXIT_OK
 
 
@@ -130,13 +120,15 @@ def cmd_spectrum(args) -> int:
     _emit(
         {
             "coefficients": coefficients,
-            "squared_sum": float((spectrum.coefficients ** 2).sum()),
+            "squared_sum": float(spectrum.squared().sum()),
         }
     )
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "junta" and args.out_certificate is not None:
+        raise CliError("--out-certificate applies only to a far kind: a junta has no certificate")
     # the config refuses what does not apply, such as a far kind with a support size
     fixture = {"kind": "junta"} if args.kind == "junta" else {"kind": "far", "family": args.kind}
     if args.support_size is not None:

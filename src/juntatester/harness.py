@@ -18,7 +18,7 @@ from .distribution import (
     WORK_CAP, DistanceCertificate, Distribution, WorkCapExceededError, distance_to_k_junta
 )
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .tester import ITERATION_FACTOR, Decision, Variant, run_tester
+from .tester import ITERATION_FACTOR, Decision, Variant, Verdict, run_tester
 
 RANDOM_FUNCTION_RETRIES = 100
 WILSON_Z_99 = 2.576
@@ -242,11 +242,22 @@ def _aggregate_ledgers(ledgers: list[QueryLedger]) -> dict:
     return out
 
 
+def run_trial(
+    f: BooleanFunction, dist: Distribution, config: ExperimentConfig, i: int
+) -> Verdict:
+    """Trial `i` of the experiment: the tester on a fresh ledger and stream i + 1."""
+    ledger = QueryLedger()
+    oracle, samples = MembershipOracle(f, ledger), SampleOracle(dist, ledger)
+    rng = derive_rng(config.master_seed, i + 1)
+    return run_tester(oracle, samples, config.k, config.eps, rng, config.variant)
+
+
 def run_trials(config: ExperimentConfig) -> TrialReport:
     """Execute the configured number of independent tester runs and aggregate.
 
-    Stream 0 of the master seed builds the fixture; stream i >= 1 drives trial
-    i. Identical configurations therefore produce identical reports.
+    Stream 0 of the master seed builds the fixture; stream i + 1 drives trial
+    i (`run_trial`). Identical configurations therefore produce identical
+    reports.
     """
     f, dist, cert = build_fixture(config, derive_rng(config.master_seed, 0))
     ledgers: list[QueryLedger] = []
@@ -254,17 +265,8 @@ def run_trials(config: ExperimentConfig) -> TrialReport:
     growth_events = 0
     growth_iterations = 0
     for i in range(config.trials):
-        rng = derive_rng(config.master_seed, i + 1)
-        ledger = QueryLedger()
-        verdict = run_tester(
-            MembershipOracle(f, ledger),
-            SampleOracle(dist, ledger),
-            config.k,
-            config.eps,
-            rng,
-            config.variant,
-        )
-        ledgers.append(ledger)
+        verdict = run_trial(f, dist, config, i)
+        ledgers.append(verdict.ledger)
         if verdict.decision is Decision.REJECT:
             rejections += 1
         prev = 0

@@ -38,10 +38,10 @@ def fourier_sample(
     T is drawn with probability exactly equal to the squared restricted
     coefficient; the ledger is charged one quantum query.
     """
-    return fourier_sample_many(oracle, cube, rng, 1)[0]
+    return _fourier_samples(oracle, cube, rng, 1)[0]
 
 
-def fourier_sample_many(
+def _fourier_samples(
     oracle: MembershipOracle, cube: Cube, rng: np.random.Generator, count: int
 ) -> list[frozenset[int]]:
     """`count` independent Fourier samples, charged as `count` quantum queries.
@@ -146,14 +146,13 @@ def amplification_schedule(eps: float) -> list[int]:
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     budget = ceil(4 / sqrt(eps))
-    stages, used, j = [], 0, 0
-    while True:
+    stages, used = [], 0
+    for j in range(budget):  # each stage takes at least one reflection
         r = ceil(2 ** (j / 2))
         if used + r > budget:
             break
         stages.append(r)
         used += r
-        j += 1
     return stages
 
 

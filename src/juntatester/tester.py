@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import BitString, BooleanFunction, Cube, index_mask
+from .boolfn import BitString, Cube, index_mask
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
 from .quantum import _absorbing, amplification_schedule, amplified_generate_cube
 from .quantum import first_relevant_attempt, fourier_sample
@@ -216,27 +216,3 @@ def run_tester(
     )
     return Verdict(decision=decision, ledger=oracle.ledger, final_state=state)
 
-
-def check_invariants(state: TesterState, f: BooleanFunction) -> bool:
-    """White-box check of the state invariants (test-only; bypasses the ledger).
-
-    Verifies that all of S is relevant, every stored cube is nondegenerate
-    with f(x) = fx and f(y) = 1 - fx, fx is 0 with an empty queue, and S and
-    the cube disagreement sets are pairwise disjoint.
-    """
-    relevant = f.relevant_variables()
-    if not state.s <= relevant:
-        return False
-    if state.fx and not state.cubes:
-        return False
-    seen = set(state.s)
-    for cube in state.cubes:
-        dis = cube.disagreement
-        if not dis:
-            return False
-        if seen & dis:
-            return False
-        seen |= dis
-        if (f.eval(cube.x), f.eval(cube.y)) != (state.fx, 1 - state.fx):
-            return False
-    return True

@@ -1,0 +1,37 @@
+"""White-box reference checks that the tests run against the package.
+
+They read f's table directly and bypass the ledger, so they are no part of
+the tester: the algorithm sees f only through its oracles.
+"""
+
+import numpy as np
+
+
+def relevant_variables(f) -> frozenset[int]:
+    """Exact set of variables i with f(x) != f(x^i) for some x."""
+    view = f.table.reshape((2,) * f.n)  # the halves x_i = 0, 1 of axis n - i
+    return frozenset(i for i in range(1, f.n + 1) if np.diff(view, axis=f.n - i).any())
+
+
+def check_invariants(state, f) -> bool:
+    """The invariants of the tester's state (S, cubes, fx).
+
+    Verifies that all of S is relevant, every stored cube is nondegenerate
+    with f(x) = fx and f(y) = 1 - fx, fx is 0 with an empty queue, and S and
+    the cube disagreement sets are pairwise disjoint.
+    """
+    if not state.s <= relevant_variables(f):
+        return False
+    if state.fx and not state.cubes:
+        return False
+    seen = set(state.s)
+    for cube in state.cubes:
+        dis = cube.disagreement
+        if not dis:
+            return False
+        if seen & dis:
+            return False
+        seen |= dis
+        if (int(f.table[cube.x.value]), int(f.table[cube.y.value])) != (state.fx, 1 - state.fx):
+            return False
+    return True

@@ -15,6 +15,8 @@ from juntatester.cli import main
 from juntatester.distribution import Distribution
 from juntatester.harness import gen_random_junta
 
+from reference import relevant_variables
+
 
 @pytest.fixture
 def junta_files(tmp_path):
@@ -332,7 +334,7 @@ class TestGenCommand:
         assert code == 0
         assert json.loads(out)["distance"] == pytest.approx(0.5)
         f = BooleanFunction.from_json(json.loads(open(fp).read()))
-        assert len(f.relevant_variables()) == 3
+        assert len(relevant_variables(f)) == 3
         cert = json.loads(open(cp).read())
         assert cert["distance"] == pytest.approx(0.5)
 
@@ -384,18 +386,83 @@ class TestGenCommand:
         ids=["junta-uniform", "junta-sparse", "parity", "random_function", "planted"],
     )
     def test_file_bytes_are_pinned(self, capsys, tmp_path, argv, digests):
-        """`gen` writes the bytes that `build_fixture` on stream 0 of the seed gives."""
-        paths = {name: tmp_path / f"{name}.json" for name in ("function", "dist", "certificate")}
-        code, _, _ = run_cli(
-            capsys, "gen", *argv, "--seed", "7", "--out-function", str(paths["function"]),
-            "--out-dist", str(paths["dist"]), "--out-certificate", str(paths["certificate"]),
-        )
+        """`gen` writes the bytes that `build_fixture` on stream 0 of the seed gives;
+        a certificate is asked for, and written, only for a far kind."""
+        paths = {name: tmp_path / f"{name}.json" for name in digests}
+        flags = [arg for name, path in paths.items() for arg in (f"--out-{name}", str(path))]
+        code, _, _ = run_cli(capsys, "gen", *argv, "--seed", "7", *flags)
         assert code == 0
         written = {
             name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in paths.items() if path.exists()
         }
         assert written == digests
+
+
+def gen_files(capsys, tmp_path, kind, *argv):
+    """`gen` of `kind` into tmp_path: the function and distribution paths."""
+    fp, dp = str(tmp_path / f"{kind}-f.json"), str(tmp_path / f"{kind}-d.json")
+    code, _, _ = run_cli(
+        capsys, "gen", "--kind", kind, *argv, "--out-function", fp, "--out-dist", dp
+    )
+    assert code == 0
+    return fp, dp
+
+
+@pytest.mark.parametrize("variant", ["classical", "amplified"])
+@pytest.mark.parametrize(
+    "kind, fixture",
+    [("junta", {"kind": "junta"}), ("planted", {"kind": "far", "family": "planted"})],
+)
+def test_run_on_gen_files_is_trial_0_of_experiment(capsys, tmp_path, kind, fixture, variant):
+    """`gen` builds stream 0 of the seed and `run` drives stream 1, so `run` on
+    `gen`'s files reaches the decision and ledger of the experiment's trial 0."""
+    fp, dp = gen_files(
+        capsys, tmp_path, kind, "--n", "10", "--k", "2", "--eps", "0.25", "--seed", "9"
+    )
+    code, out, _ = run_cli(
+        capsys, "run", "--function", fp, "--dist", dp, "--k", "2", "--eps", "0.25",
+        "--seed", "9", "--variant", variant,
+    )
+    assert code == 0
+    trial = json.loads(out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n": 10, "k": 2, "eps": 0.25, "trials": 1, "master_seed": 9,
+        "variant": variant, "fixture": fixture,
+    }))
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == 0
+    report = json.loads(out)
+    assert report["rejections"] == (trial["decision"] == "reject")
+    ledger = {
+        channel: stats["max"] for channel, stats in report["ledger_aggregates"].items()
+        if channel != "total"
+    }
+    assert ledger == trial["ledger"]
+
+
+@pytest.mark.parametrize(
+    "kind, argv, k, digests",
+    [
+        ("junta", ["--n", "12", "--k", "3"], "3",
+         {"classical": "887a7318601c308a17155419577a99801c81ed10bf1e62f6b82671c6e2ba61ad",
+          "amplified": "28bafce8338925633906689b008f278a93de66ceb2ef1e009cc831ae72b1e469"}),
+        ("planted", ["--n", "10", "--k", "2", "--eps", "0.25"], "2",
+         {"classical": "c6da7bbf2f44833b0709cd36db4ce2302cfca330a97d316216c44d4067c47f8e",
+          "amplified": "b45c86ed30c7a094b19bcc0322df648c5ba657179e1c880074aa7651f01af13e"}),
+    ],
+)
+def test_run_output_is_pinned(capsys, tmp_path, kind, argv, k, digests):
+    """sha256 of `run --eps 0.25 --seed 1` stdout on `gen --seed 5` files."""
+    fp, dp = gen_files(capsys, tmp_path, kind, *argv, "--seed", "5")
+    for variant, digest in digests.items():
+        code, out, _ = run_cli(
+            capsys, "run", "--function", fp, "--dist", dp, "--k", k, "--eps", "0.25",
+            "--seed", "1", "--variant", variant,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, variant
 
 
 GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
@@ -484,6 +551,8 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
          (None, "support_size must be in 1..2^8, got 0")),
         (["gen", "--kind", "parity", "--n", "8", "--k", "2", "--support-size", "0"],
          (None, "['dist', 'support_size'] do not apply")),
+        (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--out-certificate", "c.json"],
+         (None, "--out-certificate applies only to a far kind")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
@@ -495,6 +564,7 @@ def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
     if config is None:
         if "--seed" not in argv:
             argv = argv + ["--seed", "1"]
+        argv = [str(tmp_path / a) if a == "c.json" else a for a in argv]
         argv = argv + ["--out-function", str(tmp_path / "f.json"),
                        "--out-dist", str(tmp_path / "d.json")]
     else:
@@ -508,6 +578,7 @@ def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
     assert not (tmp_path / "f.json").exists()
+    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -524,7 +595,7 @@ def test_work_cap_exits_4(capsys, monkeypatch, tmp_path, junta_files, argv, conf
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(cli, "run_trials", never)
-    monkeypatch.setattr(cli, "run_tester", never)
+    monkeypatch.setattr(cli, "run_trial", never)
     if config is None:
         argv = argv + ["--function", junta_files[0], "--dist", junta_files[1]]
     else:

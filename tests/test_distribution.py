@@ -16,6 +16,8 @@ from juntatester.distribution import (
     distance_to_k_junta,
 )
 
+from reference import relevant_variables
+
 
 def brute_force_distance(f, dist, k):
     """Independent oracle: try every k-subset and every inner table."""
@@ -188,7 +190,7 @@ class TestBestJuntaOn:
         d = Distribution.sparse(2, {"10": 0.3, "11": 0.7})  # f = 1 on both
         h, err = best_junta_on(f, d, [2])
         assert err == pytest.approx(0.0, abs=1e-12)
-        assert all(h.eval(BitString.from_str(s)) == 1 for s in ("10", "11"))
+        assert all(h.table[BitString.from_str(s).value] == 1 for s in ("10", "11"))
 
 
     @settings(max_examples=100, deadline=None)
@@ -259,7 +261,7 @@ class TestDistanceToKJunta:
             w = d.dense_weights()
             direct = float(np.sum(w * (cert.best_junta.table != f.table)))
             assert cert.distance == pytest.approx(direct, abs=1e-9)
-            assert cert.best_junta.relevant_variables() <= cert.best_subset
+            assert relevant_variables(cert.best_junta) <= cert.best_subset
             assert len(cert.best_subset) <= k
 
     def test_monotone_in_k(self):

@@ -231,7 +231,7 @@ class BooleanFunction:
             raise ValueError(
                 f"table must have 2^{self.n} entries, got shape {self.table.shape}"
             )
-        if np.any(table > 1):
+        if table.max() > 1:  # no 2^n temporary
             raise ValueError("table entries must be 0 or 1")
         object.__setattr__(self, "table", table)
 

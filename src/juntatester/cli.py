@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .boolfn import BitString, BooleanFunction, Cube, restricted_spectrum
@@ -134,6 +135,9 @@ def cmd_gen(args) -> int:
     if args.support_size is not None:
         fixture.update(dist="sparse", support_size=args.support_size)
     config = _config(args.n, args, fixture=fixture)
+    for path in (args.out_function, args.out_dist, args.out_certificate):
+        if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
+            raise CliError(f"output path {path!r} is empty or in a missing directory")
     f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
     with open(args.out_function, "w") as fh:
         json.dump(f.to_json(), fh, sort_keys=True)
@@ -142,7 +146,7 @@ def cmd_gen(args) -> int:
     summary = {"function": args.out_function, "dist": args.out_dist}
     if certificate is not None:
         summary["distance"] = certificate.distance
-        if args.out_certificate:
+        if args.out_certificate is not None:
             with open(args.out_certificate, "w") as fh:
                 json.dump(certificate.to_json(), fh, sort_keys=True)
             summary["certificate"] = args.out_certificate

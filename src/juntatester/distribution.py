@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator, Mapping, Optional
+from functools import cache
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -191,46 +191,39 @@ def best_junta_on(
     return BooleanFunction.from_junta(f.n, vars_, inner), error
 
 
-def _subset_errors(
-    f: BooleanFunction, dist: Distribution, k: int
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Majority error of every k-subset of 1..n, in lexicographic order.
+@cache
+def walk_work(n: int, k: int) -> int:
+    """W(n, k), 0 <= k <= n: the elements that the unpruned walk of `distance_to_k_junta`
+    makes as drop children or reads at its leaves. The root holds 2^(n+1); its keep
+    child holds as many, and its drop child, made only while n > k, holds half."""
+    if k == 0:
+        return 2 << n
+    drop = (1 << n) + walk_work(n - 1, k) if n > k else 0
+    return 2 * walk_work(n - 1, k - 1) + drop
 
-    A depth-first walk over variables 1..n on the stacked per-point costs
-    (w*f, w*(1-f)), held as shape (2, rest, cells). Keeping variable v
-    reshapes it into the next bit of the cell index, so bit j is the j-th
-    kept variable, the class order of `boolfn._class_reduce`; dropping v sums
-    it out. Every subset reuses its parent's marginals. Keep is tried before
-    drop, so subsets come in lexicographic order, which breaks certificate ties.
-    """
-    n = f.n
-    w = dist.dense_weights()
-    costs = np.stack((w * f.table, w * (1 - f.table)))
 
-    def walk(a: np.ndarray, v: int, kept: tuple[int, ...]):
-        if len(kept) == k:
-            marginal = a.sum(axis=1)
-            yield kept, float(np.minimum(marginal[0], marginal[1]).sum())
-            return
-        pairs = a.reshape(2, -1, 2, a.shape[2])
-        yield from walk(pairs.reshape(2, pairs.shape[1], -1), v + 1, kept + (v,))
-        if n - v >= k - len(kept):
-            yield from walk(pairs[:, :, 0] + pairs[:, :, 1], v + 1, kept)
-
-    return walk(costs.reshape(2, -1, 1), 1, ())
+def check_walk_work(n: int, k: int) -> None:
+    """Refuse a walk whose W(n, min(k, n)) exceeds `WORK_CAP`, read at each call."""
+    work = walk_work(n, min(k, n))
+    if work > WORK_CAP:
+        raise WorkCapExceededError(
+            f"the distance walk's work W({n},{k}) = {work} exceeds the work cap of {WORK_CAP}"
+        )
 
 
 def distance_to_k_junta(f: BooleanFunction, dist: Distribution, k: int) -> DistanceCertificate:
     """Exact distance of f to the nearest k-junta with respect to D.
 
-    Scans all C(n,k) variable subsets in lexicographic order with the
-    shared-marginal walk of `_subset_errors`. A later subset replaces the
-    incumbent only if its error is lower by more than 1e-9, and the scan
-    stops at the first subset with error 0, so the certificate carries the
-    lexicographically first minimizer up to that margin. Its distance and
-    junta come from one `best_junta_on` call on that subset. `WORK_CAP`,
-    read at each call, still bounds C(n,k)*2^n, the cost of a full-table
-    scan per subset, although the walk does less work.
+    A depth-first walk over variables 1..n on the stacked per-point costs
+    (w*f, w*(1-f)), held as (2, rest, cells). Keeping variable v reshapes it
+    into the next cell bit, so bit j is the j-th kept variable, the class order
+    of `boolfn._class_reduce`; dropping v sums it out. Keep comes before drop,
+    so subsets come in lexicographic order; one replaces the incumbent only if
+    its error is lower by more than 1e-9, and the walk stops at error 0. The
+    majority error is monotone, so a drop child's summed cellwise minima bound
+    every subset below it: a subtree that cannot win (with 1e-12 slack for
+    summation order) is skipped. The certificate is one `best_junta_on` call
+    on the winner, the lexicographically first minimizer up to that margin.
     """
     n = f.n
     if dist.n != n:
@@ -238,16 +231,25 @@ def distance_to_k_junta(f: BooleanFunction, dist: Distribution, k: int) -> Dista
     if k < 0:
         raise ValueError("k must be nonnegative")
     k = min(k, n)
-    if comb(n, k) * (1 << n) > WORK_CAP:
-        raise WorkCapExceededError(f"C({n},{k})*2^{n} exceeds the work cap of {WORK_CAP}")
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    for subset, error in _subset_errors(f, dist, k):
-        if best is None or error < best[0] - _NORM_TOL:
-            best = (error, subset)
-        if best[0] <= 0.0:
-            break
-    assert best is not None
-    junta, error = best_junta_on(f, dist, best[1])
-    return DistanceCertificate(
-        distance=max(error, 0.0), best_subset=frozenset(best[1]), best_junta=junta
-    )
+    check_walk_work(n, k)
+    w = dist.dense_weights()
+    best, best_subset = np.inf, ()
+
+    def walk(a: np.ndarray, v: int, kept: tuple[int, ...]) -> None:
+        nonlocal best, best_subset
+        if len(kept) == k:
+            marginal = a.sum(axis=1)
+            error = float(np.minimum(marginal[0], marginal[1]).sum())
+            if error < best - _NORM_TOL:
+                best, best_subset = error, kept
+            return
+        pairs = a.reshape(2, -1, 2, a.shape[2])
+        walk(pairs.reshape(2, pairs.shape[1], -1), v + 1, kept + (v,))
+        if best > 0.0 and n - v >= k - len(kept):
+            drop = pairs[:, :, 0] + pairs[:, :, 1]
+            if float(np.minimum(drop[0], drop[1]).sum()) < best - _NORM_TOL + 1e-12:
+                walk(drop, v + 1, kept)
+
+    walk(np.stack((w * f.table, w * (1 - f.table))).reshape(2, -1, 1), 1, ())
+    junta, error = best_junta_on(f, dist, best_subset)
+    return DistanceCertificate(max(error, 0.0), frozenset(best_subset), junta)

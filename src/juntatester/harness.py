@@ -15,7 +15,8 @@ import numpy as np
 
 from .boolfn import BitString, BooleanFunction, N_MAX, _class_expand, _document, _integral, _number
 from .distribution import (
-    WORK_CAP, DistanceCertificate, Distribution, WorkCapExceededError, distance_to_k_junta
+    WORK_CAP, DistanceCertificate, Distribution, WorkCapExceededError, check_walk_work,
+    distance_to_k_junta,
 )
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
 from .tester import ITERATION_FACTOR, Decision, Variant, Verdict, run_tester
@@ -162,6 +163,7 @@ class ExperimentConfig:
             spec = {"kind": kind, "family": rest.pop("family", "parity")}
             if spec["family"] not in FAR_FAMILIES:
                 raise ValueError(f"unknown fixture family: {spec['family']}")
+            check_walk_work(self.n, self.k)  # the certificate's walk, before it is built
         else:
             raise ValueError(f"unknown fixture kind: {kind}")
         if rest:

@@ -553,6 +553,16 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
          (None, "['dist', 'support_size'] do not apply")),
         (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--out-certificate", "c.json"],
          (None, "--out-certificate applies only to a far kind")),
+        (["gen", "--kind", "parity", "--n", "8", "--k", "2", "--out-function", ""],
+         (None, "output path '' is empty or in a missing directory")),
+        (["gen", "--kind", "junta", "--n", "8", "--k", "2", "--out-dist", ""],
+         (None, "output path '' is empty")),
+        (["gen", "--kind", "parity", "--n", "8", "--k", "2", "--out-function", "nodir/f.json"],
+         (None, "nodir/f.json' is empty or in a missing directory")),
+        (["gen", "--kind", "parity", "--n", "8", "--k", "2", "--out-certificate", ""],
+         (None, "output path '' is empty")),
+        (["gen", "--kind", "planted", "--n", "8", "--k", "2", "--out-certificate", "nodir/c.json"],
+         (None, "nodir/c.json' is empty or in a missing directory")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
@@ -562,11 +572,11 @@ def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
     `distance`, whose function is the parity on n=8 of `parity_files`."""
     config, names = config if isinstance(config, tuple) else (config, "")
     if config is None:
-        if "--seed" not in argv:
-            argv = argv + ["--seed", "1"]
-        argv = [str(tmp_path / a) if a == "c.json" else a for a in argv]
-        argv = argv + ["--out-function", str(tmp_path / "f.json"),
-                       "--out-dist", str(tmp_path / "d.json")]
+        for flag, value in (("--seed", "1"), ("--out-function", "f.json"),
+                            ("--out-dist", "d.json")):
+            if flag not in argv:
+                argv = argv + [flag, value]
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     else:
         (tmp_path / "in.json").write_text(json.dumps(config))
         flag = {"experiment": "--config", "spectrum": "--function"}.get(argv[0], "--dist")
@@ -577,8 +587,8 @@ def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err
-    assert not (tmp_path / "f.json").exists()
-    assert not (tmp_path / "c.json").exists()
+    for written in ("f.json", "d.json", "c.json", "nodir"):
+        assert not (tmp_path / written).exists()
 
 
 @pytest.mark.parametrize(

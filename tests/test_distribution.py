@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from juntatester.distribution import (
     WorkCapExceededError,
     best_junta_on,
     distance_to_k_junta,
+    walk_work,
 )
 
 from reference import relevant_variables
@@ -63,6 +65,9 @@ def _distribution(kind, n, rng):
         return Distribution.uniform(n)
     if kind == "dense":
         return Distribution.dense(n, rng.random(1 << n))
+    if kind == "ties":  # dense small-integer weights: many classes and subsets tie
+        weights = rng.integers(0, 4, size=1 << n)
+        return Distribution.dense(n, weights if weights.any() else weights + 1)
     if kind == "sparse":
         size = int(rng.integers(1, (1 << n) + 1))
         support = rng.choice(1 << n, size=size, replace=False)
@@ -76,7 +81,8 @@ def certificate_cases(draw):
     k = draw(st.integers(0, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = _function(draw(st.sampled_from(["random", "parity", "few_ones", "sparse"])), n, rng)
-    dist = _distribution(draw(st.sampled_from(["uniform", "dense", "sparse", "point"])), n, rng)
+    kinds = ["uniform", "dense", "ties", "sparse", "point"]
+    dist = _distribution(draw(st.sampled_from(kinds)), n, rng)
     return f, dist, k
 
 
@@ -295,11 +301,61 @@ class TestDistanceToKJunta:
         assert cert.best_subset == subset
         assert np.array_equal(cert.best_junta.table, junta.table)
 
+    @pytest.mark.parametrize("margin, winner", [(1e-6, {2}), (1e-10, {1})])
+    def test_a_subtree_that_wins_by_a_small_margin_is_walked(self, margin, winner):
+        # f = x2 but for f(000) = 1. Under D, {1} errs by 1/4 + margin and {2} by 1/4,
+        # as does {2, 3}, the bound of the subtree that follows {1}: it must be
+        # walked exactly when {2} wins by more than 1e-9.
+        f = BooleanFunction(3, np.array([1, 0, 1, 1, 0, 0, 1, 1]))
+        dist = Distribution.dense(3, [0.25, 0.5, 0, 0.25 + margin, 0, 0, 0, 0])
+        cert = distance_to_k_junta(f, dist, 1)
+        assert cert.best_subset == winner
+        assert cert.distance == reference_certificate(f, dist, 1)[0]
+
+    def test_the_prune_fires_on_a_parity(self, monkeypatch):
+        # every subtree that drops a parity variable has error 1/2, the first
+        # leaf's: the walk reads one leaf and bounds three drop children, where
+        # the unpruned walk reads all C(10, 3) = 120 leaves
+        calls = []
+
+        def minimum(a, b):
+            calls.append(1)
+            return np.minimum(a, b)
+
+        counting = SimpleNamespace(**{**vars(np), "minimum": minimum})
+        monkeypatch.setattr(distribution, "np", counting)
+        f = BooleanFunction.parity(10, [1, 2, 3, 4])
+        cert = distance_to_k_junta(f, Distribution.uniform(10), 3)
+        assert (cert.distance, cert.best_subset) == (0.5, {1, 2, 3})
+        assert len(calls) == 1 + 3 + 1  # the leaf, the bounds, `best_junta_on`
+
     def test_ties_pick_lexicographically_first_subset(self):
         f = BooleanFunction.parity(6, [2, 4, 6])
         cert = distance_to_k_junta(f, Distribution.uniform(6), 2)
         assert cert.best_subset == frozenset({1, 2})
         assert cert.distance == 0.5
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_walk_work_counts_the_unpruned_walk(self, n):
+        def elements(a, v, kept, k):
+            """The drop children that the unpruned walk makes and the leaves it reads."""
+            if kept == k:
+                return a.size
+            pairs = a.reshape(2, -1, 2, a.shape[2])
+            count = elements(pairs.reshape(2, pairs.shape[1], -1), v + 1, kept + 1, k)
+            if n - v >= k - kept:
+                drop = pairs[:, :, 0] + pairs[:, :, 1]
+                count += drop.size + elements(drop, v + 1, kept, k)
+            return count
+
+        for k in range(n + 1):
+            assert walk_work(n, k) == elements(np.zeros((2, 1 << n, 1)), 1, 0, k)
+
+    def test_walk_work_values(self):
+        assert [walk_work(n, k) for n, k in [(4, 2), (16, 4), (20, 4), (20, 8), (20, 10),
+                                             (24, 4)]] == [
+            144, 4_018_624, 64_925_248, 930_353_152, 2_523_766_784, 1_040_038_592]
+        assert walk_work(20, 8) <= distribution.WORK_CAP < walk_work(24, 4)
 
     def test_work_cap(self, monkeypatch):
         monkeypatch.setattr(distribution, "WORK_CAP", 10)

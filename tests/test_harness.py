@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from juntatester import harness
 from juntatester.boolfn import BooleanFunction
 from juntatester.distribution import WORK_CAP, WorkCapExceededError, distance_to_k_junta
 from juntatester.harness import (
@@ -270,6 +271,32 @@ class TestRunTrials:
         f2, d2, _ = build_fixture(config, derive_rng(config.master_seed, 0))
         assert np.array_equal(f1.table, f2.table)
         assert np.array_equal(d1.support, d2.support)
+
+
+class TestFarFixturesAtN20:
+    """The certificate's walk, not a full-table scan per subset, sets how far
+    a far config can reach."""
+
+    @pytest.mark.parametrize("family", ["parity", "planted", "random_function"])
+    def test_n20_k4_runs(self, family):
+        config = ExperimentConfig(
+            n=20, k=4, eps=0.1, trials=1, master_seed=3, fixture={"kind": "far", "family": family}
+        )
+        report = run_trials(config)
+        assert report.trials == 1
+        assert report.fixture_distance >= 0.1
+
+    @pytest.mark.parametrize("family", ["parity", "planted", "random_function"])
+    def test_n24_k4_is_refused_before_the_fixture_is_built(self, monkeypatch, family):
+        def never(*args):
+            raise AssertionError("a fixture was built")
+
+        monkeypatch.setattr(harness, "build_fixture", never)
+        with pytest.raises(WorkCapExceededError, match=r"W\(24,4\) = 1040038592 exceeds"):
+            run_trials(ExperimentConfig(
+                n=24, k=4, eps=0.1, trials=1, master_seed=3,
+                fixture={"kind": "far", "family": family},
+            ))
 
 
 class TestReportBytes:

@@ -111,7 +111,8 @@ def _class_expand(per_class: np.ndarray, n: int, kept: Iterable[int]) -> np.ndar
     a = per_class.reshape(-1, 1)
     for is_kept, run in groupby(bits[split:][::-1]):
         reps = 1 << len(list(run))
-        a = a.reshape(-1, a.shape[1] * reps) if is_kept == "1" else np.tile(a, (1, reps))
+        a = (a.reshape(-1, a.shape[1] * reps) if is_kept == "1"
+             else a[:, None].repeat(reps, 1).reshape(len(a), -1))  # np.tile, in fewer calls
     runs = [(is_kept == "1", 1 << len(list(run))) for is_kept, run in groupby(bits[:split])]
     out = np.empty(1 << n, dtype=per_class.dtype)
     out.reshape([size for _, size in runs] + [-1])[...] = a.reshape(

@@ -138,18 +138,22 @@ def cmd_gen(args) -> int:
     for path in (args.out_function, args.out_dist, args.out_certificate):
         if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
             raise CliError(f"output path {path!r} is empty or in a missing directory")
+        if path is not None and os.path.isdir(path):
+            raise CliError(f"output path {path!r} is a directory")
     f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
-    with open(args.out_function, "w") as fh:
-        json.dump(f.to_json(), fh, sort_keys=True)
-    with open(args.out_dist, "w") as fh:
-        json.dump(dist.to_json(), fh, sort_keys=True)
+    outputs = [(args.out_function, f.to_json()), (args.out_dist, dist.to_json())]
     summary = {"function": args.out_function, "dist": args.out_dist}
     if certificate is not None:
         summary["distance"] = certificate.distance
         if args.out_certificate is not None:
-            with open(args.out_certificate, "w") as fh:
-                json.dump(certificate.to_json(), fh, sort_keys=True)
+            outputs.append((args.out_certificate, certificate.to_json()))
             summary["certificate"] = args.out_certificate
+    for path, doc in outputs:
+        try:
+            with open(path, "w") as fh:
+                json.dump(doc, fh, sort_keys=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from exc
     _emit(summary)
     return EXIT_OK
 

@@ -3,7 +3,10 @@
 Fourier sampling on a subcube is simulated by computing the exact restricted
 spectrum and drawing from the squared-coefficient distribution; this is
 distributionally identical to measuring the transformed phase-oracle state.
-One sampler execution is charged as one quantum query.
+One sampler execution is charged as one quantum query. A junta-backed f on r
+variables memoizes its draw tables by A = I(B) ∩ vars(f) and x's bits on
+vars(f) \\ A: at most 3^r tables, 4^r floats (see `_fourier_samples`). The CLI
+`spectrum` command still computes the signed coefficients on every call.
 
 The amplitude-amplified cube generator is simulated at the level of success
 probabilities: the per-attempt success probability p is computed exactly from
@@ -46,19 +49,35 @@ def _fourier_samples(
 ) -> list[frozenset[int]]:
     """`count` independent Fourier samples, charged as `count` quantum queries.
 
-    The spectrum is computed once, which only matters for simulation speed.
+    One draw table serves all `count` draws. For f with a junta backing on r
+    variables it is memoized under (A, x & read & ~A), read = vars(f) and
+    A = I(B) ∩ read: the positions depend on A alone, bits of x off `read`
+    never reach f, and moving x within A only flips signs of coefficients that
+    are integers over 2^r, so every bit of the draws is the same. At most 3^r
+    keys and 4^r floats: kept only while 8·4^r bytes fit in f's 2^n-byte table.
     """
     if cube.dimension() == 0:
         raise DegenerateCubeError("cannot Fourier-sample a single-point cube")
     if count < 1:
         raise ValueError("count must be positive")
-    spectrum = restricted_spectrum(oracle.function, cube)
-    # coefficients are integers over 2^r, r <= 24: the sums are exact and end at 1.0
-    cum = np.cumsum(spectrum.squared())
+    f, memo, key = oracle.function, {}, None  # a throwaway memo unless f qualifies
+    if f.junta_vars is not None and cube.n == f.n and 8 << 2 * len(f.junta_vars) <= 1 << f.n:
+        read = index_mask(f.junta_vars, f.n)
+        spanned = (cube.x.value ^ cube.y.value) & read
+        memo, key = _DRAWS.setdefault(f, {}), (spanned, cube.x.value & read & ~spanned)
+    if key not in memo:
+        spectrum = restricted_spectrum(f, cube)
+        # coefficients are integers over 2^r, r <= 24: the sums are exact and end at 1.0
+        memo[key] = spectrum.positions, np.cumsum(spectrum.squared())
+    positions, cum = memo[key]
     oracle.charge_quantum(count)
     masks = np.searchsorted(cum, rng.random(count), side="right").tolist()
-    subsets = {m: spectrum.subset_for_mask(m) for m in set(masks)}  # one per outcome
+    subsets = {m: frozenset(v for j, v in enumerate(positions) if m >> j & 1) for m in set(masks)}
     return [subsets[m] for m in masks]
+
+
+# f -> {key: (positions, cumulative squares)} of `_fourier_samples`; dies with f.
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # dist -> f -> {(kind, S): value}, keyed by identity: an entry dies with f or D.

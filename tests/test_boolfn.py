@@ -344,6 +344,25 @@ class TestRestrictedSpectrum:
                     BitString(n, int(rng.integers(0, 1 << n))))
         assert np.cumsum(restricted_spectrum(f, cube).squared())[-1] == 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(functions(), st.integers(0, 2**32 - 1))
+    def test_squares_depend_only_on_the_read_cube_and_x_off_it(self, f, seed):
+        """Two cubes with the same A = I(B) ∩ vars(f) and the same x on vars(f) \\ A
+        have the same squares bit for bit, wherever x lies within A and whatever
+        either corner holds off vars(f): the key of the Fourier draw memo."""
+        rng = np.random.default_rng(seed)
+        full = (1 << f.n) - 1
+        read = full if f.junta_vars is None else index_mask(f.junta_vars, f.n)
+        x, y = (int(v) for v in rng.integers(0, 1 << f.n, size=2))
+        spanned = (x ^ y) & read
+        t, u, v = (int(w) for w in rng.integers(0, 1 << f.n, size=3))
+        x2 = x ^ (t & spanned) ^ (u & full & ~read)
+        y2 = x2 ^ spanned ^ (v & full & ~read)
+        first = restricted_spectrum(f, Cube(BitString(f.n, x), BitString(f.n, y)))
+        second = restricted_spectrum(f, Cube(BitString(f.n, x2), BitString(f.n, y2)))
+        assert first.positions == second.positions
+        assert first.squared().tobytes() == second.squared().tobytes()
+
     def test_squares_sum_to_exactly_one_on_a_full_cube_at_n20(self):
         f = BooleanFunction(20, np.random.default_rng(31).integers(0, 2, size=1 << 20))
         cube = Cube(BitString(20, 0), BitString(20, (1 << 20) - 1))

@@ -353,6 +353,17 @@ class TestGenCommand:
         assert code == 0
         assert json.loads(out)["decision"] == "accept"
 
+    def test_write_error_exits_2(self, capsys, tmp_path):
+        """An output file that cannot be opened (its name is too long) is one
+        `error:` line and exit 2, not a traceback."""
+        fp, dp = str(tmp_path / "f.json"), str(tmp_path / ("d" * 300 + ".json"))
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "junta", "--n", "6", "--k", "2",
+            "--seed", "17", "--out-function", fp, "--out-dist", dp,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {dp}: ") and err.count("\n") == 1
+
     def test_stdout_carries_only_json(self, capsys, tmp_path):
         fp, dp = str(tmp_path / "f.json"), str(tmp_path / "d.json")
         code, out, _ = run_cli(
@@ -563,6 +574,10 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
          (None, "output path '' is empty")),
         (["gen", "--kind", "planted", "--n", "8", "--k", "2", "--out-certificate", "nodir/c.json"],
          (None, "nodir/c.json' is empty or in a missing directory")),
+        (["gen", "--kind", "parity", "--n", "6", "--k", "2", "--out-function", "."],
+         (None, "output path '.' is a directory")),
+        (["gen", "--kind", "junta", "--n", "6", "--k", "2", "--out-dist", "."],
+         (None, "output path '.' is a directory")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):

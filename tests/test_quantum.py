@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from juntatester import quantum
-from juntatester.boolfn import BitString, BooleanFunction, Cube, restricted_spectrum
+from juntatester.boolfn import (
+    BitString, BooleanFunction, Cube, DimensionMismatchError, restricted_spectrum
+)
 from juntatester.distribution import Distribution
 from juntatester.oracles import MembershipOracle, QueryLedger, SampleOracle
 from juntatester.quantum import (
@@ -351,7 +353,8 @@ class TestFourierSample:
     def test_memory_per_cube_point_of_a_junta(self):
         """With a junta backing, one sample on a 16-dimensional cube peaks at <= 1
         byte per point: f is read through a view slice, and only the cube
-        variables the junta reads are transformed."""
+        variables the junta reads are transformed. The measured cube differs from
+        the first in variable 17 of x, so its draw table is not memoized yet."""
         n, m = 17, 16
         inner = np.random.default_rng(2).integers(0, 2, size=16)
         f = BooleanFunction.from_junta(n, [3, 8, 13, 17], inner)
@@ -360,11 +363,100 @@ class TestFourierSample:
         fourier_sample(oracle, B, rng)
         tracemalloc.start()
         try:
-            fourier_sample(oracle, B, rng)
+            fourier_sample(oracle, Cube(BitString(n, 0), BitString(n, (1 << m) - 1)), rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1 << m
+
+
+def reference_draws(f, cube, rng, count):
+    """The Fourier draw with no memo: `restricted_spectrum`, the cumulative sum of
+    its squares, and one binary search per uniform."""
+    spectrum = restricted_spectrum(f, cube)
+    masks = np.searchsorted(np.cumsum(spectrum.squared()), rng.random(count), side="right")
+    return [spectrum.subset_for_mask(int(m)) for m in masks]
+
+
+class TestDrawMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_a_warm_or_cold_memo_changes_no_draw(self, data, count, seed):
+        """The same subsets, next `rng.random()` and ledger as the draw with no
+        memo, for 1 and `count` samples, from a cold memo and from one warmed by
+        every other cube with the same I(B), the one with every bit of x flipped first."""
+        n = data.draw(st.integers(3, 9))
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            # r <= (n - 3)/2, so that the memo keeps this f's tables
+            variables = data.draw(st.lists(st.integers(1, n), max_size=(n - 3) // 2, unique=True))
+            f = BooleanFunction.from_junta(
+                n, variables, rng.integers(0, 2, size=1 << len(variables)))
+        else:
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+        x, d = int(rng.integers(0, 1 << n)), int(rng.integers(1, 1 << n))
+        cube = Cube(BitString(n, x), BitString(n, x ^ d))
+        others = [Cube(BitString(n, x ^ w), BitString(n, x ^ w ^ d))
+                  for w in range((1 << n) - 1, 0, -1)]
+        for warm, c in itertools.product((False, True), (1, count)):
+            quantum._DRAWS.pop(f, None)
+            for other in others if warm else ():
+                _fourier_samples(MembershipOracle(f), other, rng, 1)
+            ledger, mine, theirs = QueryLedger(), *map(np.random.default_rng, (seed, seed))
+            got = _fourier_samples(MembershipOracle(f, ledger), cube, mine, c)
+            assert got == reference_draws(f, cube, theirs, c)
+            assert mine.random() == theirs.random()
+            assert ledger.to_json() == {
+                "classical_queries": 0, "classical_samples": 0, "quantum_queries": c}
+
+    @pytest.mark.parametrize("n, variables", [(3, []), (5, [2]), (7, [3, 6])])
+    def test_a_sweep_of_every_cube_stays_in_the_bound(self, n, variables):
+        """3^r keys and 4^r floats for r junta variables, the bound, which a sweep
+        of every cube reaches; here 8·4^r = 2^n bytes, the most the size rule
+        allows at n."""
+        r = len(variables)
+        rng = np.random.default_rng(n)
+        f = BooleanFunction.from_junta(n, variables, rng.integers(0, 2, size=1 << r))
+        oracle = MembershipOracle(f)
+        for x, y in itertools.permutations(range(1 << n), 2):
+            _fourier_samples(oracle, Cube(BitString(n, x), BitString(n, y)), rng, 1)
+        entries = quantum._DRAWS[f]
+        assert len(entries) == 3**r
+        assert sum(cum.size for _, cum in entries.values()) == 4**r
+
+    @pytest.mark.parametrize("n, variables", [(6, None), (6, [1, 4]), (8, [2, 3, 5]), (2, [])])
+    def test_no_entry_without_a_backing_or_past_the_size_rule(self, n, variables):
+        """A plain table, or r > (n - 3)/2 junta variables, whose 8·4^r bytes of
+        tables would exceed f's 2^n-byte table: the draw stores nothing."""
+        rng = np.random.default_rng(n)
+        if variables is None:
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+        else:
+            f = BooleanFunction.from_junta(
+                n, variables, rng.integers(0, 2, size=1 << len(variables)))
+        full = Cube(BitString(n, 0), BitString(n, (1 << n) - 1))
+        fourier_sample(MembershipOracle(f), full, rng)
+        assert f not in quantum._DRAWS
+
+    def test_a_cube_of_another_dimension_is_refused_on_a_warm_memo(self):
+        f = BooleanFunction.parity(5, [2])
+        oracle, rng = MembershipOracle(f), np.random.default_rng(0)
+        fourier_sample(oracle, Cube(BitString(5, 0), BitString(5, 3)), rng)
+        with pytest.raises(DimensionMismatchError):
+            fourier_sample(oracle, Cube(BitString(6, 0), BitString(6, 3)), rng)
+
+    def test_entries_die_with_f(self):
+        gc.collect()
+        before = len(quantum._DRAWS)
+        f = BooleanFunction.parity(5, [2])
+        fourier_sample(MembershipOracle(f), Cube(BitString(5, 0), BitString(5, 3)),
+                       np.random.default_rng(0))
+        assert len(quantum._DRAWS) == before + 1 and len(quantum._DRAWS[f]) == 1
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+        assert len(quantum._DRAWS) == before
 
 
 class TestAttemptSuccessProbability:

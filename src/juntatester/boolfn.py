@@ -291,13 +291,28 @@ class BooleanFunction:
         return f
 
 
+# _H[r][S, T] = (-1)^{|S&T|}: Sylvester's Hadamard matrices up to 64 x 64
+_H = [np.ones((1, 1))]
+for _ in range(6):
+    _H.append(np.kron(_H[-1], [[1.0, 1.0], [1.0, -1.0]]))
+
+
 def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
-    """Unnormalized transform of a copy of `values`, one half-size temporary per
-    in-place butterfly; output[S] = sum_T (-1)^{|S&T|} v[T]."""
+    """Unnormalized transform of a copy of `values`; output[S] = sum_T (-1)^{|S&T|} v[T].
+
+    An int8, uint8 or int16 array of 2^r <= 2^12 entries, held as a (2^a, 2^b)
+    matrix M with a = r // 2, transforms as H_a M H_b (H_{a+b} = H_a ⊗ H_b):
+    every partial sum is then an integer below 2^53 and no zero is -0.0, so the
+    bits are the butterfly's in any summation order. Any other input takes the
+    in-place butterfly, one half-size temporary per level.
+    """
     v = np.array(values, dtype=np.float64)
     size = v.size
     if size & (size - 1):
         raise ValueError("length must be a power of two")
+    if getattr(values, "dtype", None) in (np.int8, np.uint8, np.int16) and 0 < size <= 1 << 12:
+        r = size.bit_length() - 1
+        return (_H[r // 2] @ v.reshape(1 << r // 2, -1) @ _H[r - r // 2]).reshape(-1)
     h = 1
     while h < size:
         blocks = v.reshape(-1, 2 * h)
@@ -334,6 +349,7 @@ class RestrictedSpectrum:
 # (axis transformed, x's bit) -> index of that axis of the (2,)*n view, so that
 # entry t of the slice is f(x^T)
 _AXIS = {("0", "0"): 0, ("0", "1"): 1, ("1", "0"): slice(None), ("1", "1"): slice(None, None, -1)}
+_SIGN = np.array([1, -1], np.int8)  # 1 - 2 f
 
 
 def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
@@ -353,9 +369,6 @@ def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     spanned = (x ^ cube.y.value) & read
     axes = zip(format(spanned, f"0{n}b"), format(x, f"0{n}b"))
     cells = f.table.reshape((2,) * n)[tuple(map(_AXIS.__getitem__, axes))]
-    signs = np.empty(1 << spanned.bit_count())
-    np.multiply(cells, -2.0, out=signs.reshape(cells.shape))
-    signs += 1.0  # 1 - 2 f(x^T), bit for bit
-    coeffs = walsh_hadamard(signs)
+    coeffs = walsh_hadamard(_SIGN[cells].reshape(-1))
     coeffs /= coeffs.size
     return RestrictedSpectrum(positions=tuple(sorted(mask_indices(spanned))), coefficients=coeffs)

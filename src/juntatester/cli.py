@@ -8,6 +8,7 @@ stdout, diagnostics on stderr. Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -127,6 +128,27 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _write_all(outputs: list[tuple[str, dict]]) -> None:
+    """Each document to a temporary name in its target's directory, then each
+    renamed over its target: a failure anywhere removes the temporaries and
+    the targets renamed so far, so no output is left from a failed call."""
+    staged, renamed = [], []
+    try:
+        for i, (path, doc) in enumerate(outputs):
+            temp = os.path.join(os.path.dirname(path), f".junta-test-{os.getpid()}-{i}.tmp")
+            with open(temp, "x") as fh:
+                staged.append(temp)
+                json.dump(doc, fh, sort_keys=True)
+        for temp, (path, _) in zip(staged, outputs):
+            os.replace(temp, path)
+            renamed.append(path)
+    except OSError as exc:
+        for leftover in staged + renamed:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_gen(args) -> int:
     if args.kind == "junta" and args.out_certificate is not None:
         raise CliError("--out-certificate applies only to a far kind: a junta has no certificate")
@@ -148,12 +170,7 @@ def cmd_gen(args) -> int:
         if args.out_certificate is not None:
             outputs.append((args.out_certificate, certificate.to_json()))
             summary["certificate"] = args.out_certificate
-    for path, doc in outputs:
-        try:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc}") from exc
+    _write_all(outputs)
     _emit(summary)
     return EXIT_OK
 

@@ -222,6 +222,23 @@ class TestWalshHadamard:
         assert walsh_hadamard(v).tobytes() == reference_walsh_hadamard(v).tobytes()
         assert v.tobytes() == before
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([np.int8, np.uint8, np.int16]), st.integers(0, 13),
+           st.sampled_from(["zero", "min", "max"]), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_integer_bits_match_the_reference(self, dtype, m, fill, share, seed):
+        """Integer inputs of 2^0..2^13 entries, on both sides of the blocked
+        transform's 2^12 cut-off and anywhere in the dtype's range: the bits of
+        the reference on a float64 copy, the input left as it was, and no -0.0."""
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(seed)
+        v = rng.integers(info.min, info.max, size=1 << m, dtype=dtype, endpoint=True)
+        v[rng.random(v.size) < share] = {"zero": 0, "min": info.min, "max": info.max}[fill]
+        before = v.tobytes()
+        w = walsh_hadamard(v)
+        assert w.tobytes() == reference_walsh_hadamard(v.astype(np.float64)).tobytes()
+        assert v.tobytes() == before
+        assert not np.signbit(w[w == 0]).any()
+
 
 class TestRestrictedSpectrum:
     def test_constant_on_cube(self):
@@ -311,6 +328,23 @@ class TestRestrictedSpectrum:
         assert sp.coefficients.tobytes() == coeffs[inside].tobytes()
         others = np.delete(coeffs, inside)
         assert others.tobytes() == np.zeros_like(others).tobytes()
+
+    @pytest.mark.parametrize("dimension", [12, 13])
+    def test_bits_match_the_reference_across_the_blocked_cut_off(self, dimension):
+        """A table with no junta backing at n = 14, on a cube of 2^12 points (the
+        blocked transform) and of 2^13 (the butterfly): the full transform's bits,
+        zero coefficients included (f has even weight on these cubes)."""
+        rng = np.random.default_rng([0, dimension])
+        f = BooleanFunction(14, rng.integers(0, 2, size=1 << 14))
+        x = int(rng.integers(0, 1 << 14))
+        variables = rng.choice(np.arange(1, 15), size=dimension, replace=False)
+        spanned = index_mask(variables.tolist(), 14)
+        cube = Cube(BitString(14, x), BitString(14, x ^ spanned))
+        positions, coeffs = reference_spectrum(f, cube)
+        sp = restricted_spectrum(f, cube)
+        assert sp.positions == positions
+        assert sp.coefficients.tobytes() == coeffs.tobytes()
+        assert (sp.coefficients == 0).any()
 
     def test_transforms_only_the_variables_a_junta_reads(self, monkeypatch):
         """A 4-junta on a 16-dimensional cube at n = 20: one transform of 2^4 entries."""

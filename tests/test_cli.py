@@ -578,13 +578,16 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
          (None, "output path '.' is a directory")),
         (["gen", "--kind", "junta", "--n", "6", "--k", "2", "--out-dist", "."],
          (None, "output path '.' is a directory")),
+        (["gen", "--kind", "junta", "--n", "6", "--k", "2",
+          "--out-dist", "d" * 300 + ".json"], (None, "cannot write")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
     """Bad gen arguments, run flags and input files exit 2 before anything is
-    built. `config` is the file the command reads: an experiment config, the
-    function file of `spectrum`, or the distribution file of `run` and
-    `distance`, whose function is the parity on n=8 of `parity_files`."""
+    built, and a gen whose last write fails leaves no file. `config` is the
+    file the command reads: an experiment config, the function file of
+    `spectrum`, or the distribution file of `run` and `distance`, whose
+    function is the parity on n=8 of `parity_files`."""
     config, names = config if isinstance(config, tuple) else (config, "")
     if config is None:
         for flag, value in (("--seed", "1"), ("--out-function", "f.json"),
@@ -604,6 +607,7 @@ def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
     assert names in err
     for written in ("f.json", "d.json", "c.json", "nodir"):
         assert not (tmp_path / written).exists()
+    assert {p.name for p in tmp_path.iterdir()} <= {"in.json", "parity.json", "uniform.json"}
 
 
 @pytest.mark.parametrize(

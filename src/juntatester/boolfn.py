@@ -120,15 +120,14 @@ def _class_expand(per_class: np.ndarray, n: int, kept: Iterable[int]) -> np.ndar
     return out
 
 
-def mask_indices(mask: int) -> frozenset[int]:
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The variables of a bitmask, in increasing order."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ class Cube:
     @property
     def disagreement(self) -> frozenset[int]:
         """I(B): the variables where the two corners disagree."""
-        return mask_indices(self.x.value ^ self.y.value)
+        return frozenset(mask_indices(self.x.value ^ self.y.value))
 
     def dimension(self) -> int:
         return (self.x.value ^ self.y.value).bit_count()
@@ -308,9 +307,9 @@ def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
     """
     v = np.array(values, dtype=np.float64)
     size = v.size
-    if size & (size - 1):
+    if not size or size & (size - 1):
         raise ValueError("length must be a power of two")
-    if getattr(values, "dtype", None) in (np.int8, np.uint8, np.int16) and 0 < size <= 1 << 12:
+    if getattr(values, "dtype", None) in (np.int8, np.uint8, np.int16) and size <= 1 << 12:
         r = size.bit_length() - 1
         return (_H[r // 2] @ v.reshape(1 << r // 2, -1) @ _H[r - r // 2]).reshape(-1)
     h = 1
@@ -346,9 +345,9 @@ class RestrictedSpectrum:
         return self.coefficients ** 2
 
 
-# (axis transformed, x's bit) -> index of that axis of the (2,)*n view, so that
+# [axis transformed][x's bit] -> index of that axis of the (2,)*n view, so that
 # entry t of the slice is f(x^T)
-_AXIS = {("0", "0"): 0, ("0", "1"): 1, ("1", "0"): slice(None), ("1", "1"): slice(None, None, -1)}
+_AXIS = ((0, 1), (slice(None), slice(None, None, -1)))
 _SIGN = np.array([1, -1], np.int8)  # 1 - 2 f
 
 
@@ -367,8 +366,8 @@ def restricted_spectrum(f: BooleanFunction, cube: Cube) -> RestrictedSpectrum:
     n, x = f.n, cube.x.value
     read = (1 << n) - 1 if f.junta_vars is None else index_mask(f.junta_vars, n)
     spanned = (x ^ cube.y.value) & read
-    axes = zip(format(spanned, f"0{n}b"), format(x, f"0{n}b"))
-    cells = f.table.reshape((2,) * n)[tuple(map(_AXIS.__getitem__, axes))]
+    axes = [_AXIS[spanned >> i & 1][x >> i & 1] for i in range(n - 1, -1, -1)]  # variable n first
+    cells = f.table.reshape((2,) * n)[tuple(axes)]
     coeffs = walsh_hadamard(_SIGN[cells].reshape(-1))
     coeffs /= coeffs.size
-    return RestrictedSpectrum(positions=tuple(sorted(mask_indices(spanned))), coefficients=coeffs)
+    return RestrictedSpectrum(positions=mask_indices(spanned), coefficients=coeffs)

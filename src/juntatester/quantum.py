@@ -1,8 +1,8 @@
 """Exact simulation of the quantum subroutines.
 
 Fourier sampling on a subcube is simulated by computing the exact restricted
-spectrum and drawing from the squared-coefficient distribution; this is
-distributionally identical to measuring the transformed phase-oracle state.
+spectrum and drawing u ~ U[0, 1) against the running sums of its squares; this
+is distributionally identical to measuring the transformed phase-oracle state.
 One sampler execution is charged as one quantum query. A junta-backed f on r
 variables memoizes its draw tables by A = I(B) ∩ vars(f) and x's bits on
 vars(f) \\ A: at most 3^r tables, 4^r floats (see `_fourier_samples`). The CLI
@@ -49,7 +49,8 @@ def _fourier_samples(
 ) -> list[frozenset[int]]:
     """`count` independent Fourier samples, charged as `count` quantum queries.
 
-    One draw table serves all `count` draws. For f with a junta backing on r
+    One draw table serves all `count` draws: each is the first mask whose
+    running sum of squares exceeds u ~ U[0, 1). For f with a junta backing on r
     variables it is memoized under (A, x & read & ~A), read = vars(f) and
     A = I(B) ∩ read: the positions depend on A alone, bits of x off `read`
     never reach f, and moving x within A only flips signs of coefficients that
@@ -68,12 +69,12 @@ def _fourier_samples(
     if key not in memo:
         spectrum = restricted_spectrum(f, cube)
         # coefficients are integers over 2^r, r <= 24: the sums are exact and end at 1.0
-        memo[key] = spectrum.positions, np.cumsum(spectrum.squared())
+        memo[key] = spectrum.positions, np.square(spectrum.coefficients).cumsum()
     positions, cum = memo[key]
     oracle.charge_quantum(count)
-    masks = np.searchsorted(cum, rng.random(count), side="right").tolist()
+    masks = cum.searchsorted(rng.random(count), "right").tolist()
     subsets = {m: frozenset(v for j, v in enumerate(positions) if m >> j & 1) for m in set(masks)}
-    return [subsets[m] for m in masks]
+    return [subsets[m] for m in masks]  # one frozenset per distinct mask: batches repeat masks
 
 
 # f -> {key: (positions, cumulative squares)} of `_fourier_samples`; dies with f.
@@ -152,10 +153,10 @@ def first_relevant_attempt(
     free_mask = ((1 << n) - 1) & ~index_mask(fixed, n)
     xs = dist.sample_indices(rng, count)
     tmasks = rng.integers(0, 1 << n, size=count, dtype=np.int64) & free_mask
-    hits = np.nonzero(f.table[xs] != f.table[xs ^ tmasks])[0]
-    if not hits.size:
+    hits = f.table[xs] != f.table[xs ^ tmasks]
+    j = int(hits.argmax())  # the first hit, or 0 when there is none
+    if not hits[j]:
         return None
-    j = int(hits[0])
     x = int(xs[j])
     return j + 1, Cube(BitString(n, x), BitString(n, x ^ int(tmasks[j])))
 
@@ -173,6 +174,9 @@ def amplification_schedule(eps: float) -> list[int]:
         stages.append(r)
         used += r
     return stages
+
+
+_STAGES: dict = {}  # ε -> amplification_schedule(ε) as a tuple, read by every amplified search
 
 
 def stage_success_probability(reflections: int, p: float) -> float:
@@ -197,7 +201,7 @@ def amplified_generate_cube(
     successful attempts; the rejection draws used to realize that conditional
     are simulation bookkeeping and are not charged.
     """
-    stages = amplification_schedule(eps)
+    stages = _STAGES.get(eps) or _STAGES.setdefault(eps, tuple(amplification_schedule(eps)))
     p = attempt_success_probability(oracle.function, samples.distribution, fixed)
     for r in stages:
         oracle.charge_quantum(r)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import BitString, Cube, index_mask
+from .boolfn import BitString, Cube
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
 from .quantum import _absorbing, amplification_schedule, amplified_generate_cube
 from .quantum import first_relevant_attempt, fourier_sample
@@ -121,8 +121,12 @@ def _record(
     The one place a trace record is built. `fx` is dropped to 0 with an
     empty queue, so equal (S, cubes) give equal states.
     """
-    rec = TraceRecord(action, len(s), len(cubes))
+    key = action, len(s), len(cubes)
+    rec = _RECORDS.get(key) or _RECORDS.setdefault(key, TraceRecord(*key))
     return TesterState(s, cubes, fx if cubes else 0, state.trace + (rec,))
+
+
+_RECORDS: dict = {}  # (action, |S|, |cubes|) -> one shared frozen record: 6·25·26 at most
 
 
 def step(
@@ -134,8 +138,9 @@ def step(
     rng: np.random.Generator,
     variant: Variant | str = Variant.CLASSICAL,
 ) -> TesterState:
-    """Execute exactly one loop iteration of the tester."""
-    variant = Variant(variant)
+    """Execute exactly one loop iteration of the tester. A split flips, in both
+    corners, the j-th smallest variable of I(B) for each set bit j of pick ~ U[0, 2^|I(B)|)."""
+    variant = variant if isinstance(variant, Variant) else Variant(variant)
     if len(state.s) + len(state.cubes) > k:
         raise ValueError("step called past the loop exit condition")
     s, cubes, fx = state.s, state.cubes, state.fx
@@ -154,9 +159,11 @@ def step(
     if subset:
         return _record(state, TraceAction.FOURIER_NONEMPTY, s | subset, rest, fx)
 
-    positions = sorted(cube.disagreement)
-    pick = int(rng.integers(0, 1 << len(positions)))
-    tmask = index_mask((i for j, i in enumerate(positions) if pick >> j & 1), cube.n)
+    diff, tmask = cube.x.value ^ cube.y.value, 0
+    pick = int(rng.integers(0, 1 << diff.bit_count()))
+    while pick:  # bit j of pick selects the j-th lowest set bit of diff
+        low = diff & -diff
+        tmask, diff, pick = tmask | low * (pick & 1), diff ^ low, pick >> 1
     z = BitString(cube.n, cube.x.value ^ tmask)
     t = BitString(cube.n, cube.y.value ^ tmask)
     fz = oracle.query(z)

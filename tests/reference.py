@@ -6,6 +6,8 @@ the tester: the algorithm sees f only through its oracles.
 
 import numpy as np
 
+from juntatester.boolfn import BitString, Cube, index_mask
+
 
 def relevant_variables(f) -> frozenset[int]:
     """Exact set of variables i with f(x) != f(x^i) for some x."""
@@ -35,3 +37,20 @@ def check_invariants(state, f) -> bool:
         if (int(f.table[cube.x.value]), int(f.table[cube.y.value])) != (state.fx, 1 - state.fx):
             return False
     return True
+
+
+def reference_split(f, cube, pick):
+    """The two points a split of `cube` queries for `pick`, and the cubes it
+    queues, built from sorted(I(B)) and `index_mask`: bit j of pick flips the
+    j-th smallest variable of I(B) in both corners. A split that makes no
+    progress queues `cube` again."""
+    positions = sorted(cube.disagreement)
+    tmask = index_mask((i for j, i in enumerate(positions) if pick >> j & 1), cube.n)
+    z = BitString(cube.n, cube.x.value ^ tmask)
+    t = BitString(cube.n, cube.y.value ^ tmask)
+    fz, ft, fx = (int(f.table[p.value]) for p in (z, t, cube.x))
+    if fz != ft:
+        return (z, t), (cube,)
+    if fz != fx:
+        return (z, t), (Cube(cube.x, z), Cube(cube.x, t))
+    return (z, t), (Cube(z, cube.y), Cube(t, cube.y))

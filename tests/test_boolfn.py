@@ -210,6 +210,12 @@ class TestWalshHadamard:
         with pytest.raises(ValueError):
             walsh_hadamard([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_rejects_an_empty_input(self, dtype):
+        """Zero entries is no power of two, on the blocked and the butterfly path."""
+        with pytest.raises(ValueError):
+            walsh_hadamard(np.array([], dtype))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
     def test_bits_match_the_reference(self, m, seed):

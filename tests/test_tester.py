@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from juntatester import tester
 from juntatester.boolfn import BitString, BooleanFunction, Cube
 from juntatester.distribution import Distribution, distance_to_k_junta
 from juntatester.harness import gen_random_junta, gen_sparse_distribution
@@ -20,7 +21,7 @@ from juntatester.tester import (
     step,
 )
 
-from reference import check_invariants
+from reference import check_invariants, reference_split
 
 
 def constant(n, value):
@@ -168,6 +169,37 @@ class TestStep:
             delta = potential(state) - before
             assert delta >= 0
             assert delta == 0 or delta == 1 or delta % 2 == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_split_matches_the_reference(self, data, n, seed):
+        """For any cube of n <= 12 and any pick, a split queries the points and
+        queues the cubes of `reference_split`, and draws the pick from
+        [0, 2^|I(B)|)."""
+        x = data.draw(st.integers(0, (1 << n) - 1))
+        y = data.draw(st.integers(0, (1 << n) - 1).filter(lambda v: v != x))
+        cube = Cube(BitString(n, x), BitString(n, y))
+        pick = data.draw(st.integers(0, (1 << cube.dimension()) - 1))
+        table = np.random.default_rng(seed).integers(0, 2, size=1 << n)
+        table[y] = 1 - table[x]
+        f = BooleanFunction(n, table)
+        mo, so, _ = make_oracles(f, Distribution.uniform(n))
+        queried, query = [], mo.query
+        mo.query = lambda p: queried.append(p) or query(p)
+        highs = []
+
+        class Pick:  # the split's one draw
+            def integers(self, low, high):
+                highs.append((low, high))
+                return pick
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tester, "fourier_sample", lambda oracle, cube, rng: frozenset())
+            new = step(state_with_cube(f, cube), mo, so, n, 0.5, Pick())
+        points, cubes = reference_split(f, cube, pick)
+        assert highs == [(0, 1 << cube.dimension())]
+        assert tuple(queried) == points
+        assert new.cubes == cubes
 
     def test_rejects_past_exit_condition(self):
         f = BooleanFunction.parity(3, [1, 2, 3])

@@ -157,11 +157,18 @@ def cmd_gen(args) -> int:
     if args.support_size is not None:
         fixture.update(dist="sparse", support_size=args.support_size)
     config = _config(args.n, args, fixture=fixture)
-    for path in (args.out_function, args.out_dist, args.out_certificate):
-        if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
+    named = {}  # real path -> the flag that named it first
+    for flag, path in (("--out-function", args.out_function), ("--out-dist", args.out_dist),
+                       ("--out-certificate", args.out_certificate)):
+        if path is None:
+            continue
+        if not (path and os.path.isdir(os.path.dirname(path) or ".")):
             raise CliError(f"output path {path!r} is empty or in a missing directory")
-        if path is not None and os.path.isdir(path):
+        if os.path.isdir(path):
             raise CliError(f"output path {path!r} is a directory")
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise CliError(f"{first} and {flag} name one file: {path!r}")
     f, dist, certificate = build_fixture(config, derive_rng(args.seed, 0))
     outputs = [(args.out_function, f.to_json()), (args.out_dist, dist.to_json())]
     summary = {"function": args.out_function, "dist": args.out_dist}

@@ -65,13 +65,18 @@ def _fourier_samples(
     if f.junta_vars is not None and cube.n == f.n and 8 << 2 * len(f.junta_vars) <= 1 << f.n:
         read = index_mask(f.junta_vars, f.n)
         spanned = (cube.x.value ^ cube.y.value) & read
-        memo, key = _DRAWS.setdefault(f, {}), (spanned, cube.x.value & read & ~spanned)
-    if key not in memo:
+        memo = _DRAWS.get(f) or _DRAWS.setdefault(f, {})  # builds only on a miss
+        key = spanned, cube.x.value & read & ~spanned
+    entry = memo.get(key)
+    if entry is None:
         spectrum = restricted_spectrum(f, cube)
         # coefficients are integers over 2^r, r <= 24: the sums are exact and end at 1.0
-        memo[key] = spectrum.positions, np.square(spectrum.coefficients).cumsum()
-    positions, cum = memo[key]
+        entry = memo[key] = spectrum.positions, np.square(spectrum.coefficients).cumsum()
+    positions, cum = entry
     oracle.charge_quantum(count)
+    if count == 1:  # a scalar u has the bits of rng.random(1)[0]
+        m = int(cum.searchsorted(rng.random(), "right"))
+        return [frozenset(v for j, v in enumerate(positions) if m >> j & 1)]
     masks = cum.searchsorted(rng.random(count), "right").tolist()
     subsets = {m: frozenset(v for j, v in enumerate(positions) if m >> j & 1) for m in set(masks)}
     return [subsets[m] for m in masks]  # one frozenset per distinct mask: batches repeat masks
@@ -88,7 +93,8 @@ _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _memo(f: BooleanFunction, dist: Distribution) -> dict:
     """The memo of values that depend only on (f, D, S), filled on first use."""
-    return _MEMO.setdefault(dist, weakref.WeakKeyDictionary()).setdefault(f, {})
+    per_dist = _MEMO.get(dist) or _MEMO.setdefault(dist, weakref.WeakKeyDictionary())
+    return per_dist.get(f) or per_dist.setdefault(f, {})  # builds only on a miss
 
 
 def attempt_success_probability(
@@ -176,7 +182,12 @@ def amplification_schedule(eps: float) -> list[int]:
     return stages
 
 
-_STAGES: dict = {}  # ε -> amplification_schedule(ε) as a tuple, read by every amplified search
+_STAGES: dict = {}  # ε -> amplification_schedule(ε) as a tuple, read through `_stages`
+
+
+def _stages(eps: float) -> tuple[int, ...]:
+    """`amplification_schedule(eps)` as a tuple, built once per ε."""
+    return _STAGES.get(eps) or _STAGES.setdefault(eps, tuple(amplification_schedule(eps)))
 
 
 def stage_success_probability(reflections: int, p: float) -> float:
@@ -201,9 +212,8 @@ def amplified_generate_cube(
     successful attempts; the rejection draws used to realize that conditional
     are simulation bookkeeping and are not charged.
     """
-    stages = _STAGES.get(eps) or _STAGES.setdefault(eps, tuple(amplification_schedule(eps)))
     p = attempt_success_probability(oracle.function, samples.distribution, fixed)
-    for r in stages:
+    for r in _stages(eps):
         oracle.charge_quantum(r)
         if rng.random() < stage_success_probability(r, p):
             break

@@ -8,7 +8,7 @@ and rejects exactly when |S| + |cubes| > k at loop exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import ceil
 from typing import Optional
@@ -17,7 +17,7 @@ import numpy as np
 
 from .boolfn import BitString, Cube
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .quantum import _absorbing, amplification_schedule, amplified_generate_cube
+from .quantum import _absorbing, _memo, _stages, amplified_generate_cube
 from .quantum import first_relevant_attempt, fourier_sample
 
 ITERATION_FACTOR = 18
@@ -114,16 +114,17 @@ def generate_cube(
 
 
 def _record(
-    state: TesterState, action: TraceAction, s: frozenset[int], cubes: tuple[Cube, ...], fx: int
+    state: TesterState, action: TraceAction, s: frozenset[int], cubes: tuple[Cube, ...], fx: int,
+    times: int = 1,
 ) -> TesterState:
-    """The next state (S, cubes, fx) after `state`, its iteration traced.
+    """The state (S, cubes, fx) after `times` iterations from `state`, each traced alike.
 
     The one place a trace record is built. `fx` is dropped to 0 with an
     empty queue, so equal (S, cubes) give equal states.
     """
     key = action, len(s), len(cubes)
     rec = _RECORDS.get(key) or _RECORDS.setdefault(key, TraceRecord(*key))
-    return TesterState(s, cubes, fx if cubes else 0, state.trace + (rec,))
+    return TesterState(s, cubes, fx if cubes else 0, state.trace + (rec,) * times)
 
 
 _RECORDS: dict = {}  # (action, |S|, |cubes|) -> one shared frozen record: 6·25·26 at most
@@ -190,34 +191,35 @@ def run_tester(
     Accepts iff |S| + |cubes| <= k after at most ITERATION_FACTOR*k loop
     iterations. For a k-junta the verdict is accept with certainty; for a
     function eps-far from every k-junta under D it is reject with probability
-    at least 1/2. Once a cube search fails from an S from which none can
-    succeed, the remaining iterations are charged and traced at once, and
-    `rng` is left where that search left it. Both oracles must share the
-    ledger that the verdict reports.
+    at least 1/2. With an empty queue and an S from which no cube search can
+    succeed, known after a failed search from S in this or an earlier run on
+    the same (f, D), the remaining iterations are charged and traced at once
+    and draw nothing from `rng`. Both oracles must share the ledger that the
+    verdict reports.
     """
     if samples.ledger is not oracle.ledger:
         raise ValueError("the membership and sample oracles must share one ledger")
-    n = oracle.function.n
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    f, dist, cap = oracle.function, samples.distribution, ITERATION_FACTOR * k
+    if not 1 <= k < f.n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={f.n}")
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    variant = Variant(variant)
-    cap = ITERATION_FACTOR * k
-    state = TesterState()
+    variant, memo, state = Variant(variant), _memo(f, dist), TesterState()
     while len(state.trace) < cap and len(state.s) + len(state.cubes) <= k:
-        state = step(state, oracle, samples, k, eps, rng, variant)
-        rest = cap - len(state.trace)
-        if (rest and state.trace[-1].action is TraceAction.GENERATE_FAILED
-                and _absorbing(oracle.function, samples.distribution, state.s)):
-            # each remaining iteration is a failed cube search, p = 0 here,
-            # and traced as a copy of the last record
+        s, trace = state.s, state.trace
+        # S is absorbing by `_absorbing`'s memo entry, or computed after a failed
+        # search only: testing every S met with an empty queue costs more than it saves
+        if not state.cubes and (memo.get(("absorbing", s)) or trace and (
+                trace[-1].action is TraceAction.GENERATE_FAILED and _absorbing(f, dist, s))):
+            rest = cap - len(trace)  # failed cube searches, p = 0 from here
             if variant is Variant.AMPLIFIED:
-                oracle.charge_quantum(rest * sum(amplification_schedule(eps)))
+                oracle.charge_quantum(rest * sum(_stages(eps)))
             else:
                 samples.note_samples(rest * ceil(2 / eps))
                 oracle.note_classical(2 * rest * ceil(2 / eps))
-            state = replace(state, trace=state.trace + state.trace[-1:] * rest)
+            state = _record(state, TraceAction.GENERATE_FAILED, s, (), 0, rest)
+            break
+        state = step(state, oracle, samples, k, eps, rng, variant)
     decision = (
         Decision.REJECT if len(state.s) + len(state.cubes) > k else Decision.ACCEPT
     )

@@ -579,6 +579,12 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
         (["gen", "--kind", "junta", "--n", "6", "--k", "2", "--out-dist", "."],
          (None, "output path '.' is a directory")),
         (["gen", "--kind", "junta", "--n", "6", "--k", "2",
+          "--out-function", "same.json", "--out-dist", "same.json"],
+         (None, "--out-function and --out-dist name one file")),
+        (["gen", "--kind", "parity", "--n", "6", "--k", "2",
+          "--out-certificate", "a.json", "--out-function", "a.json"],
+         (None, "--out-function and --out-certificate name one file")),
+        (["gen", "--kind", "junta", "--n", "6", "--k", "2",
           "--out-dist", "d" * 300 + ".json"], (None, "cannot write")),
     ],
 )

@@ -1,3 +1,5 @@
+import copy
+import itertools
 from math import ceil, sqrt
 
 import numpy as np
@@ -408,14 +410,21 @@ def test_fast_forward_matches_the_step_loop(fixture, variant, eps, seed):
 
 def test_fast_forward_charges_every_iteration():
     """A constant function is absorbing from the start: the first generate
-    fails, and the other 18k - 1 are charged and traced in full."""
+    fails, and the other 18k - 1 are charged and traced in full. A second run
+    on the same (f, D) finds the empty S in the memo: it draws nothing from
+    `rng`, and all 18k are charged and traced."""
     k, eps = 3, 0.25
-    for variant, per_iteration in (
+    for (variant, per_iteration), warm in itertools.product((
         (Variant.CLASSICAL, {"classical_samples": 8, "classical_queries": 16}),
         (Variant.AMPLIFIED, {"quantum_queries": sum(amplification_schedule(eps))}),
-    ):
-        mo, so, ledger = make_oracles(constant(5, 1), Distribution.uniform(5))
-        verdict = run_tester(mo, so, k, eps, np.random.default_rng(0), variant)
+    ), (False, True)):
+        if not warm:
+            f, dist = constant(5, 1), Distribution.uniform(5)
+        mo, so, ledger = make_oracles(f, dist)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        verdict = run_tester(mo, so, k, eps, rng, variant)
+        assert (rng.bit_generator.state == before) is warm
         assert verdict.decision is Decision.ACCEPT
         assert len(verdict.final_state.trace) == 18 * k
         assert [r.action for r in verdict.final_state.trace] == (
@@ -423,6 +432,26 @@ def test_fast_forward_charges_every_iteration():
         )
         for channel in ("classical_samples", "classical_queries", "quantum_queries"):
             assert getattr(ledger, channel) == 18 * k * per_iteration.get(channel, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fast_forward_fixtures(), st.sampled_from(list(Variant)), st.sampled_from([0.1, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_a_warm_memo_changes_no_output(fixture, variant, eps, seed):
+    """A second run on the same (f, D), whose memo may already know that the
+    last S is absorbing and skip its cube search, gives the decision, ledger,
+    final state and trace of a cold run on fresh copies of f and D."""
+    f, dist, k = fixture
+    cold_f, cold_dist = copy.deepcopy(f), copy.deepcopy(dist)
+    run_tester(*make_oracles(f, dist)[:2], k, eps, np.random.default_rng(seed), variant)
+    mo, so, ledger = make_oracles(f, dist)
+    warm = run_tester(mo, so, k, eps, np.random.default_rng(seed), variant)
+    cold_mo, cold_so, cold_ledger = make_oracles(cold_f, cold_dist)
+    cold = run_tester(cold_mo, cold_so, k, eps, np.random.default_rng(seed), variant)
+    assert warm.decision is cold.decision
+    assert ledger == cold_ledger
+    assert warm.final_state == cold.final_state
+    assert warm.final_state.trace == cold.final_state.trace
 
 
 class TestCheckInvariants:

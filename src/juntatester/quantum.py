@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from math import asin, ceil, sin, sqrt
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,8 +59,6 @@ def _fourier_samples(
     """
     if cube.dimension() == 0:
         raise DegenerateCubeError("cannot Fourier-sample a single-point cube")
-    if count < 1:
-        raise ValueError("count must be positive")
     f, memo, key = oracle.function, {}, None  # a throwaway memo unless f qualifies
     if f.junta_vars is not None and cube.n == f.n and 8 << 2 * len(f.junta_vars) <= 1 << f.n:
         read = index_mask(f.junta_vars, f.n)
@@ -74,12 +72,8 @@ def _fourier_samples(
         entry = memo[key] = spectrum.positions, np.square(spectrum.coefficients).cumsum()
     positions, cum = entry
     oracle.charge_quantum(count)
-    if count == 1:  # a scalar u has the bits of rng.random(1)[0]
-        m = int(cum.searchsorted(rng.random(), "right"))
-        return [frozenset(v for j, v in enumerate(positions) if m >> j & 1)]
-    masks = cum.searchsorted(rng.random(count), "right").tolist()
-    subsets = {m: frozenset(v for j, v in enumerate(positions) if m >> j & 1) for m in set(masks)}
-    return [subsets[m] for m in masks]  # one frozenset per distinct mask: batches repeat masks
+    return [frozenset(v for j, v in enumerate(positions) if m >> j & 1)
+            for m in cum.searchsorted(rng.random(count), "right").tolist()]
 
 
 # f -> {key: (positions, cumulative squares)} of `_fourier_samples`; dies with f.
@@ -142,6 +136,12 @@ def _absorbing(f: BooleanFunction, dist: Distribution, fixed: frozenset[int]) ->
     codes += 1
     memo[key] = not (_class_reduce(codes, f.n, fixed, np.bitwise_or) == 7).any()
     return memo[key]
+
+
+def _known_absorbing(f: BooleanFunction, dist: Distribution) -> Callable[[frozenset[int]], bool]:
+    """A test of S, true once `_absorbing(f, dist, S)` is memoized as true; computes nothing."""
+    memo = _memo(f, dist)
+    return lambda fixed: memo.get(("absorbing", fixed), False)
 
 
 def first_relevant_attempt(

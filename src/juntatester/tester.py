@@ -17,7 +17,7 @@ import numpy as np
 
 from .boolfn import BitString, Cube
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .quantum import _absorbing, _memo, _stages, amplified_generate_cube
+from .quantum import _absorbing, _known_absorbing, _stages, amplified_generate_cube
 from .quantum import first_relevant_attempt, fourier_sample
 
 ITERATION_FACTOR = 18
@@ -194,8 +194,9 @@ def run_tester(
     at least 1/2. With an empty queue and an S from which no cube search can
     succeed, known after a failed search from S in this or an earlier run on
     the same (f, D), the remaining iterations are charged and traced at once
-    and draw nothing from `rng`. Both oracles must share the ledger that the
-    verdict reports.
+    and draw nothing from `rng`. A warm memo thus skips draws, so verdicts
+    are reproducible from the seed only when each run gets its own stream.
+    Both oracles must share the ledger that the verdict reports.
     """
     if samples.ledger is not oracle.ledger:
         raise ValueError("the membership and sample oracles must share one ledger")
@@ -204,12 +205,12 @@ def run_tester(
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={f.n}")
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    variant, memo, state = Variant(variant), _memo(f, dist), TesterState()
+    variant, state, known_absorbing = Variant(variant), TesterState(), _known_absorbing(f, dist)
     while len(state.trace) < cap and len(state.s) + len(state.cubes) <= k:
         s, trace = state.s, state.trace
         # S is absorbing by `_absorbing`'s memo entry, or computed after a failed
         # search only: testing every S met with an empty queue costs more than it saves
-        if not state.cubes and (memo.get(("absorbing", s)) or trace and (
+        if not state.cubes and (known_absorbing(s) or trace and (
                 trace[-1].action is TraceAction.GENERATE_FAILED and _absorbing(f, dist, s))):
             rest = cap - len(trace)  # failed cube searches, p = 0 from here
             if variant is Variant.AMPLIFIED:

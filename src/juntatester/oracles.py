@@ -1,8 +1,16 @@
 """Query-counted access to the input function and the sample distribution.
 
-The tester touches f and D only through these wrappers, so the ledger is a
-faithful account of everything the algorithm consumed. There is no caching:
-repeated queries at the same point are charged repeatedly.
+The tester touches f and D only through these wrappers. For the classical
+variant the ledger is a faithful account of everything the algorithm
+consumed. There is no caching: repeated queries at the same point are charged
+repeatedly.
+
+The amplified variant assumes more access than the paper's model of classical
+samples plus quantum membership queries: a coherent preparation of
+Σ_x √D(x)|x⟩ and its inverse, used 2r+1 times per amplification stage of r
+reflections (Brassard–Høyer–Mosca–Tapp 2002). Its ledger counts only the
+reflections, as quantum queries, and no sample of D, so for that variant it
+is not a full account of what the algorithm consumed.
 """
 
 from __future__ import annotations

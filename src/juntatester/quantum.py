@@ -154,11 +154,17 @@ def first_relevant_attempt(
     its cube (x, x^T), or None when no attempt hits. The batch takes the x
     draws before the T draws, which is equivalent to drawing attempt by
     attempt. Nothing is charged.
+
+    T is floor(u·2^n) & ([n]\\S) for a float32 uniform u. Such a u is
+    (w >> 8)·2^-24 for one 32-bit word w of the stream, so for n <= 24
+    (`N_MAX`) the mask is w's top n bits: exactly uniform, and the same
+    masks and end state as `rng.integers(0, 2**n, size=count)`, which
+    reads the same words, without its per-call argument handling.
     """
     n = f.n
     free_mask = ((1 << n) - 1) & ~index_mask(fixed, n)
     xs = dist.sample_indices(rng, count)
-    tmasks = rng.integers(0, 1 << n, size=count, dtype=np.int64) & free_mask
+    tmasks = (rng.random(count, dtype=np.float32) * (1 << n)).astype(np.int64) & free_mask
     hits = f.table[xs] != f.table[xs ^ tmasks]
     j = int(hits.argmax())  # the first hit, or 0 when there is none
     if not hits[j]:

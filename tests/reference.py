@@ -54,3 +54,16 @@ def reference_split(f, cube, pick):
     if fz != fx:
         return (z, t), (Cube(cube.x, z), Cube(cube.x, t))
     return (z, t), (Cube(z, cube.y), Cube(t, cube.y))
+
+
+def reference_first_relevant_attempt(f, dist, fixed, count, rng):
+    """`quantum.first_relevant_attempt` with T drawn by `rng.integers`: the
+    first hit as (1-based attempt, cube), or None."""
+    n = f.n
+    free_mask = ((1 << n) - 1) & ~index_mask(fixed, n)
+    xs = dist.sample_indices(rng, count)
+    tmasks = rng.integers(0, 1 << n, size=count, dtype=np.int64) & free_mask
+    for j, (x, t) in enumerate(zip(xs.tolist(), tmasks.tolist())):
+        if f.table[x] != f.table[x ^ t]:
+            return j + 1, Cube(BitString(n, x), BitString(n, x ^ t))
+    return None

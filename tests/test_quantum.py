@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from juntatester import quantum
 from juntatester.boolfn import (
-    BitString, BooleanFunction, Cube, DimensionMismatchError, restricted_spectrum
+    N_MAX, BitString, BooleanFunction, Cube, DimensionMismatchError, restricted_spectrum
 )
 from juntatester.distribution import Distribution
 from juntatester.oracles import MembershipOracle, QueryLedger, SampleOracle
@@ -22,11 +22,12 @@ from juntatester.quantum import (
     amplification_schedule,
     amplified_generate_cube,
     attempt_success_probability,
+    first_relevant_attempt,
     fourier_sample,
     stage_success_probability,
 )
 
-from reference import relevant_variables
+from reference import reference_first_relevant_attempt, relevant_variables
 
 
 def cube_points(cube):
@@ -479,6 +480,62 @@ class TestAttemptSuccessProbability:
         assert attempt_success_probability(f, d, frozenset()) == pytest.approx(0.5)
         # once all parity variables are fixed, no flip can change the value
         assert attempt_success_probability(f, d, frozenset({1, 2})) == pytest.approx(0.0)
+
+
+class TestAttemptDraw:
+    def test_n_max_fits_a_float32_uniform(self):
+        """`first_relevant_attempt` draws T as floor(u·2^n) for a float32 u,
+        which has 24 random bits: that is exactly uniform on n-bit masks, and
+        the same bits as `rng.integers`, only while n <= 24."""
+        assert N_MAX <= 24
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 300), st.integers(0, 2**64 - 1),
+           st.lists(st.tuples(st.sampled_from(["random", "float32", "integers"]),
+                              st.integers(1, 24)), max_size=6))
+    def test_float32_uniforms_are_the_integers_draw(self, n, count, seed, prefix):
+        """floor(u·2^n) for float32 uniforms u gives the array of
+        `integers(0, 2**n)` and leaves the same generator state, after a prefix
+        of draws that leaves the stream's spare 32-bit half set or clear."""
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (mine, theirs):
+            for kind, m in prefix:
+                if kind == "random":
+                    rng.random()
+                elif kind == "float32":
+                    rng.random(m, dtype=np.float32)
+                else:
+                    rng.integers(0, 2**m)
+        got = (mine.random(count, dtype=np.float32) * (1 << n)).astype(np.int64)
+        assert np.array_equal(got, theirs.integers(0, 2**n, size=count, dtype=np.int64))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 10), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_the_integers_reference(self, data, n, count, seed):
+        """The same first hit (or None) and end state as the reference that
+        draws T with `rng.integers`, under uniform, sparse and point-mass D."""
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            variables = data.draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+            f = BooleanFunction.from_junta(
+                n, variables, rng.integers(0, 2, size=1 << len(variables)))
+        else:
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+        kind = data.draw(st.sampled_from(["uniform", "sparse", "point mass"]))
+        if kind == "uniform":
+            dist = Distribution.uniform(n)
+        elif kind == "sparse":
+            support = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                         max_size=1 << n, unique=True))
+            dist = Distribution(n, support, rng.random(len(support)) + 0.1)
+        else:
+            dist = Distribution.point_mass(BitString(n, int(rng.integers(0, 1 << n))))
+        fixed = frozenset(data.draw(st.sets(st.integers(1, n))))
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert first_relevant_attempt(f, dist, fixed, count, mine) == \
+            reference_first_relevant_attempt(f, dist, fixed, count, theirs)
+        assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 class TestAmplification:

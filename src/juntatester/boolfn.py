@@ -210,6 +210,19 @@ def _parse_bit_field(value: str, size: int) -> np.ndarray:
     return bits[:size].astype(np.uint8)
 
 
+def _bit_table(table, size: int, name: str) -> np.ndarray:
+    """`table` as a contiguous uint8 array of `size` entries; any entry that is not
+    exactly 0 or 1 is refused before a cast could wrap or truncate it. A uint8
+    table is checked by its maximum, and a contiguous one is kept, so neither
+    makes a temporary of its size."""
+    table = np.asarray(table)
+    if table.shape != (size,):
+        raise ValueError(f"{name} must have {size} entries, got shape {table.shape}")
+    if not (table.max() <= 1 if table.dtype == np.uint8 else ((table == 0) | (table == 1)).all()):
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return np.ascontiguousarray(table, dtype=np.uint8)
+
+
 @dataclass(frozen=True, eq=False)  # identity equality and hash: the fields are arrays
 class BooleanFunction:
     """A total function {0,1}^n -> {0,1} held as a dense truth table.
@@ -226,14 +239,7 @@ class BooleanFunction:
     def __post_init__(self):
         if not 1 <= self.n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {self.n}")
-        table = np.ascontiguousarray(self.table, dtype=np.uint8)
-        if table.shape != (1 << self.n,):
-            raise ValueError(
-                f"table must have 2^{self.n} entries, got shape {self.table.shape}"
-            )
-        if table.max() > 1:  # no 2^n temporary
-            raise ValueError("table entries must be 0 or 1")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _bit_table(self.table, 1 << self.n, "table"))
 
     # -- constructors -------------------------------------------------
 
@@ -247,9 +253,7 @@ class BooleanFunction:
         vars_ = tuple(sorted(variables))
         if len(set(vars_)) != len(vars_):
             raise ValueError(f"junta variables repeat: {list(vars_)}")
-        inner = np.asarray(inner_table, dtype=np.uint8)
-        if inner.shape != (1 << len(vars_),):
-            raise ValueError("inner table size does not match the variable set")
+        inner = _bit_table(inner_table, 1 << len(vars_), "inner table")
         f = cls(n, _class_expand(inner, n, vars_))  # which checks the variables' range
         object.__setattr__(f, "junta_vars", vars_)
         return f
@@ -296,31 +300,26 @@ for _ in range(6):
     _H.append(np.kron(_H[-1], [[1.0, 1.0], [1.0, -1.0]]))
 
 
-def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
-    """Unnormalized transform of a copy of `values`; output[S] = sum_T (-1)^{|S&T|} v[T].
+def walsh_hadamard(values: Sequence[int]) -> np.ndarray:
+    """Unnormalized transform of integer `values`; output[S] = sum_T (-1)^{|S&T|} v[T].
 
-    An int8, uint8 or int16 array of 2^r <= 2^12 entries, held as a (2^a, 2^b)
-    matrix M with a = r // 2, transforms as H_a M H_b (H_{a+b} = H_a ⊗ H_b):
-    every partial sum is then an integer below 2^53 and no zero is -0.0, so the
-    bits are the butterfly's in any summation order. Any other input takes the
-    in-place butterfly, one half-size temporary per level.
+    The r index bits split into p = ceil(r/6) runs of widths floor((r+j)/p),
+    and each run is one product with Sylvester's H_w (H_{a+b} = H_a ⊗ H_b):
+    the lowest as M @ H_w, each higher one as H_w @ M on the entries held as
+    (above, 2^w, below). Every partial sum is an integer below 2^53 and no
+    zero is -0.0, so the bits are those of the butterfly in any summation
+    order. The input is not written.
     """
-    v = np.array(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     size = v.size
     if not size or size & (size - 1):
         raise ValueError("length must be a power of two")
-    if getattr(values, "dtype", None) in (np.int8, np.uint8, np.int16) and size <= 1 << 12:
-        r = size.bit_length() - 1
-        return (_H[r // 2] @ v.reshape(1 << r // 2, -1) @ _H[r - r // 2]).reshape(-1)
-    h = 1
-    while h < size:
-        blocks = v.reshape(-1, 2 * h)
-        left, right = blocks[:, :h], blocks[:, h:]
-        total = left + right
-        np.subtract(left, right, out=right)
-        left[...] = total
-        del total
-        h *= 2
+    r = size.bit_length() - 1
+    runs, low = (r + 5) // 6 or 1, 0
+    for j in range(runs):
+        w = (r + j) // runs
+        v = _H[w] @ v.reshape(-1, 1 << w, 1 << low) if low else v.reshape(-1, 1 << w) @ _H[w]
+        low += w
     return v.reshape(-1)
 
 

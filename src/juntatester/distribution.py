@@ -37,14 +37,17 @@ class Distribution:
     def __init__(self, n: int, support, probs):
         if not 1 <= n <= N_MAX:
             raise ValueError(f"dimension must be in 1..{N_MAX}, got {n}")
-        support = np.ascontiguousarray(support, dtype=np.int64)
+        points = np.asarray(support)
         probs = np.ascontiguousarray(probs, dtype=np.float64)
-        if support.ndim != 1 or support.shape != probs.shape:
+        if points.ndim != 1 or points.shape != probs.shape:
             raise ValueError("support and probabilities must be 1-d and aligned")
-        if support.size == 0:
+        if points.size == 0:
             raise ValueError("empty support")
-        if np.any(support < 0) or np.any(support >= (1 << n)):
+        if not np.all((points >= 0) & (points < 1 << n)):  # NaN too, before any cast
             raise ValueError("support point out of range")
+        support = np.ascontiguousarray(points, dtype=np.int64)
+        if np.any(support != points):
+            raise ValueError("support points must be integers")
         ordered = np.sort(support)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate support points")
@@ -89,12 +92,10 @@ class Distribution:
             if isinstance(key, BitString):
                 if key.n != n:
                     raise ValueError(f"support point {key.to_str()!r} does not have {n} bits")
-                idx = key.value
-            else:
-                idx = int(key)
-            support.append(idx)
+                key = key.value
+            support.append(key)
             probs.append(float(w))
-        return cls(n, np.array(support, dtype=np.int64), np.array(probs))
+        return cls(n, np.array(support), np.array(probs))
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":

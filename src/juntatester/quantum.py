@@ -17,6 +17,7 @@ oracle reflections succeeds with probability sin^2((2r+1) arcsin(sqrt(p))).
 from __future__ import annotations
 
 import weakref
+from functools import cache
 from math import asin, ceil, sin, sqrt
 from typing import Callable, Optional
 
@@ -173,7 +174,8 @@ def first_relevant_attempt(
     return j + 1, Cube(BitString(n, x), BitString(n, x ^ int(tmasks[j])))
 
 
-def amplification_schedule(eps: float) -> list[int]:
+@cache
+def amplification_schedule(eps: float) -> tuple[int, ...]:
     """Stage reflection counts r_j = ceil(2^{j/2}) whose sum is within ceil(4/sqrt(eps))."""
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
@@ -185,15 +187,7 @@ def amplification_schedule(eps: float) -> list[int]:
             break
         stages.append(r)
         used += r
-    return stages
-
-
-_STAGES: dict = {}  # ε -> amplification_schedule(ε) as a tuple, read through `_stages`
-
-
-def _stages(eps: float) -> tuple[int, ...]:
-    """`amplification_schedule(eps)` as a tuple, built once per ε."""
-    return _STAGES.get(eps) or _STAGES.setdefault(eps, tuple(amplification_schedule(eps)))
+    return tuple(stages)
 
 
 def stage_success_probability(reflections: int, p: float) -> float:
@@ -219,7 +213,7 @@ def amplified_generate_cube(
     are simulation bookkeeping and are not charged.
     """
     p = attempt_success_probability(oracle.function, samples.distribution, fixed)
-    for r in _stages(eps):
+    for r in amplification_schedule(eps):
         oracle.charge_quantum(r)
         if rng.random() < stage_success_probability(r, p):
             break

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import ceil
 from typing import Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .boolfn import BitString, Cube
 from .oracles import MembershipOracle, QueryLedger, SampleOracle
-from .quantum import _absorbing, _known_absorbing, _stages, amplified_generate_cube
+from .quantum import _absorbing, _known_absorbing, amplification_schedule, amplified_generate_cube
 from .quantum import first_relevant_attempt, fourier_sample
 
 ITERATION_FACTOR = 18
@@ -122,12 +123,11 @@ def _record(
     The one place a trace record is built. `fx` is dropped to 0 with an
     empty queue, so equal (S, cubes) give equal states.
     """
-    key = action, len(s), len(cubes)
-    rec = _RECORDS.get(key) or _RECORDS.setdefault(key, TraceRecord(*key))
+    rec = _shared_record(action, len(s), len(cubes))
     return TesterState(s, cubes, fx if cubes else 0, state.trace + (rec,) * times)
 
 
-_RECORDS: dict = {}  # (action, |S|, |cubes|) -> one shared frozen record: 6·25·26 at most
+_shared_record = cache(TraceRecord)  # one frozen record per (action, |S|, |cubes|), ≤ 6·25·26
 
 
 def step(
@@ -214,7 +214,7 @@ def run_tester(
                 trace[-1].action is TraceAction.GENERATE_FAILED and _absorbing(f, dist, s))):
             rest = cap - len(trace)  # failed cube searches, p = 0 from here
             if variant is Variant.AMPLIFIED:
-                oracle.charge_quantum(rest * sum(_stages(eps)))
+                oracle.charge_quantum(rest * sum(amplification_schedule(eps)))
             else:
                 samples.note_samples(rest * ceil(2 / eps))
                 oracle.note_classical(2 * rest * ceil(2 / eps))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from juntatester import boolfn
@@ -212,29 +212,20 @@ class TestWalshHadamard:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_rejects_an_empty_input(self, dtype):
-        """Zero entries is no power of two, on the blocked and the butterfly path."""
+        """Zero entries is no power of two, for integer and float input alike."""
         with pytest.raises(ValueError):
             walsh_hadamard(np.array([], dtype))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
-    def test_bits_match_the_reference(self, m, seed):
-        """Same bits as the out-of-place transform, signed zeros included; the
-        input is left as it was."""
-        rng = np.random.default_rng(seed)
-        v = rng.choice([-1.0, -0.0, 0.0, 1.0, 0.5, -3.25, 1e-300], size=1 << m)
-        v[rng.random(v.size) < 0.5] = rng.standard_normal()
-        before = v.tobytes()
-        assert walsh_hadamard(v).tobytes() == reference_walsh_hadamard(v).tobytes()
-        assert v.tobytes() == before
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([np.int8, np.uint8, np.int16]), st.integers(0, 13),
+    @example(np.int8, 6, "max", 0.5, 1)  # the largest size of one run, of two and of three
+    @example(np.uint8, 12, "zero", 0.5, 2)
+    @example(np.int16, 18, "min", 0.5, 3)
+    @given(st.sampled_from([np.int8, np.uint8, np.int16]), st.integers(0, 18),
            st.sampled_from(["zero", "min", "max"]), st.floats(0, 1), st.integers(0, 2**32 - 1))
     def test_integer_bits_match_the_reference(self, dtype, m, fill, share, seed):
-        """Integer inputs of 2^0..2^13 entries, on both sides of the blocked
-        transform's 2^12 cut-off and anywhere in the dtype's range: the bits of
-        the reference on a float64 copy, the input left as it was, and no -0.0."""
+        """Integer inputs of 2^0..2^18 entries, transformed in one, two or three
+        runs of products, anywhere in the dtype's range: the bits of the
+        reference on a float64 copy, the input left as it was, and no -0.0."""
         info = np.iinfo(dtype)
         rng = np.random.default_rng(seed)
         v = rng.integers(info.min, info.max, size=1 << m, dtype=dtype, endpoint=True)
@@ -337,9 +328,9 @@ class TestRestrictedSpectrum:
 
     @pytest.mark.parametrize("dimension", [12, 13])
     def test_bits_match_the_reference_across_the_blocked_cut_off(self, dimension):
-        """A table with no junta backing at n = 14, on a cube of 2^12 points (the
-        blocked transform) and of 2^13 (the butterfly): the full transform's bits,
-        zero coefficients included (f has even weight on these cubes)."""
+        """A table with no junta backing at n = 14, on a cube of 2^12 points (two
+        runs of products) and of 2^13 (three): the full transform's bits, zero
+        coefficients included (f has even weight on these cubes)."""
         rng = np.random.default_rng([0, dimension])
         f = BooleanFunction(14, rng.integers(0, 2, size=1 << 14))
         x = int(rng.integers(0, 1 << 14))
@@ -351,6 +342,27 @@ class TestRestrictedSpectrum:
         assert sp.positions == positions
         assert sp.coefficients.tobytes() == coeffs.tobytes()
         assert (sp.coefficients == 0).any()
+
+    @pytest.mark.parametrize("junta", [False, True])
+    def test_bits_match_the_reference_on_a_14_dimensional_cube(self, junta):
+        """The whole cube at n = 14, 2^14 points in three runs of products: the
+        full transform's bits, for a plain table and for a junta-backed f on 13
+        variables, whose subsets holding the unread variable are +0.0 there."""
+        rng = np.random.default_rng([1, junta])
+        if junta:
+            variables = [v for v in range(1, 15) if v != 9]
+            f = BooleanFunction.from_junta(14, variables, rng.integers(0, 2, size=1 << 13))
+        else:
+            f = BooleanFunction(14, rng.integers(0, 2, size=1 << 14))
+        x = int(rng.integers(0, 1 << 14))
+        cube = Cube(BitString(14, x), BitString(14, x ^ (1 << 14) - 1))
+        positions, coeffs = reference_spectrum(f, cube)
+        inside = [m for m in range(coeffs.size) if not (junta and m >> 8 & 1)]
+        sp = restricted_spectrum(f, cube)
+        assert sp.positions == tuple(v for v in positions if not (junta and v == 9))
+        assert sp.coefficients.tobytes() == coeffs[inside].tobytes()
+        others = np.delete(coeffs, inside)
+        assert others.tobytes() == np.zeros_like(others).tobytes()
 
     def test_transforms_only_the_variables_a_junta_reads(self, monkeypatch):
         """A 4-junta on a 16-dimensional cube at n = 20: one transform of 2^4 entries."""
@@ -497,6 +509,14 @@ class TestFunctionJson:
     def test_rejects_malformed_tables(self, doc):
         with pytest.raises(ValueError):
             BooleanFunction.from_json(doc)
+
+    @pytest.mark.parametrize("table", [[0.5, 1.0], [256, 1], [-255, 1], [2, 1], [np.nan, 1]])
+    def test_rejects_entries_other_than_0_and_1(self, table):
+        """Both constructors refuse such an entry instead of casting it to a bit."""
+        with pytest.raises(ValueError):
+            BooleanFunction(1, np.array(table))
+        with pytest.raises(ValueError):
+            BooleanFunction.from_junta(3, [1], table)
 
     @settings(max_examples=100, deadline=None)
     @given(functions())

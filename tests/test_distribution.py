@@ -109,6 +109,19 @@ class TestMakeDistribution:
         with pytest.raises(ValueError):
             Distribution.dense(2, [0.5, 0.5])
 
+    def test_fractional_support_point_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            Distribution(2, [0.5, 1.7], [1, 1])
+        with pytest.raises(ValueError, match="integers"):
+            Distribution.sparse(2, {1.5: 1.0, 3: 1.0})
+        assert Distribution(2, [1.0, 3.0], [1, 1]).support.tolist() == [1, 3]
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="empty support"):
+            Distribution(2, [], [])
+        with pytest.raises(ValueError, match="empty support"):
+            Distribution.sparse(2, {})
+
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         d = Distribution.dense(4, rng.random(16))

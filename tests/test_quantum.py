@@ -543,7 +543,7 @@ class TestAmplification:
         for eps in (0.04, 0.1, 0.25, 0.5, 1.0):
             stages, budget = amplification_schedule(eps), ceil(4 / sqrt(eps))
             assert sum(stages) <= budget < sum(stages) + ceil(2 ** (len(stages) / 2))
-            assert stages == [ceil(2 ** (j / 2)) for j in range(len(stages))]
+            assert stages == tuple(ceil(2 ** (j / 2)) for j in range(len(stages)))
 
     def test_stage_success_at_p_one(self):
         # arcsin(1) = pi/2, so any odd multiple keeps the amplitude at 1

@@ -337,12 +337,6 @@ class RestrictedSpectrum:
     positions: tuple[int, ...]
     coefficients: np.ndarray = field(repr=False)
 
-    def subset_for_mask(self, mask: int) -> frozenset[int]:
-        return frozenset(self.positions[j] for j in range(len(self.positions)) if mask >> j & 1)
-
-    def squared(self) -> np.ndarray:
-        return self.coefficients ** 2
-
 
 # [axis transformed][x's bit] -> index of that axis of the (2,)*n view, so that
 # entry t of the slice is f(x^T)

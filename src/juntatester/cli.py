@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .boolfn import BitString, BooleanFunction, Cube, restricted_spectrum
 from .distribution import Distribution, WorkCapExceededError, distance_to_k_junta
 from .harness import (
@@ -29,6 +31,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATION = 3
 EXIT_RESOURCE = 4
+
+# the largest |I(B)| whose `spectrum` listing fits in 200 MiB (161 MiB at 19, CPython 3.11)
+SPECTRUM_MAX_DIM = 19
 
 
 class CliError(Exception):
@@ -112,19 +117,21 @@ def cmd_spectrum(args) -> int:
         raise CliError(str(exc)) from exc
     if cube.n != f.n:
         raise CliError(f"cube dimension {cube.n} != function dimension {f.n}")
-    spectrum = restricted_spectrum(f, cube)
-    known = {spectrum.subset_for_mask(m): float(c) for m, c in enumerate(spectrum.coefficients)}
     positions = sorted(cube.disagreement)  # every subset is printed, a zero one as 0.0
-    coefficients = {}
-    for mask in range(1 << len(positions)):
-        subset = [v for j, v in enumerate(positions) if mask >> j & 1]
-        coefficients[",".join(map(str, subset))] = known.get(frozenset(subset), 0.0)
-    _emit(
-        {
-            "coefficients": coefficients,
-            "squared_sum": float(spectrum.squared().sum()),
-        }
-    )
+    if len(positions) > SPECTRUM_MAX_DIM:
+        raise WorkCapExceededError(
+            f"|I(B)| = {len(positions)} exceeds the spectrum cap of {SPECTRUM_MAX_DIM}")
+    spectrum = restricted_spectrum(f, cube)
+    # values[m] is the coefficient of the subset that mask m selects from positions;
+    # the first axis of a (2,)*r array is the highest bit
+    values = np.zeros((2,) * len(positions))
+    values[tuple(slice(None) if v in spectrum.positions else 0 for v in positions[::-1])] = (
+        spectrum.coefficients.reshape((2,) * len(spectrum.positions)))
+    names = [""]  # names[m] joins the variables of mask m in increasing order
+    for v in positions:
+        names += [f"{name},{v}" if name else str(v) for name in names]
+    _emit({"coefficients": dict(zip(names, values.reshape(-1).tolist())),
+           "squared_sum": float((spectrum.coefficients ** 2).sum())})
     return EXIT_OK
 
 
@@ -188,11 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exactly simulated quantum distribution-free k-junta tester",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    files = argparse.ArgumentParser(add_help=False)  # the flags of `run` and `distance`
+    files.add_argument("--function", required=True)
+    files.add_argument("--dist", required=True)
+    files.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("run", help="run the tester on function/distribution files")
-    p.add_argument("--function", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("run", parents=[files], help="run the tester on function/distribution files")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--variant", choices=["classical", "amplified"], default="classical")
@@ -202,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("distance", help="exact distance to the nearest k-junta")
-    p.add_argument("--function", required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("distance", parents=[files], help="exact distance to the nearest k-junta")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("spectrum", help="restricted Fourier spectrum on a cube")

@@ -203,13 +203,12 @@ def walk_work(n: int, k: int) -> int:
     return 2 * walk_work(n - 1, k - 1) + drop
 
 
-def check_walk_work(n: int, k: int) -> None:
-    """Refuse a walk whose W(n, min(k, n)) exceeds `WORK_CAP`, read at each call."""
+def check_walk_work(n: int, k: int, walks: int = 1) -> None:
+    """Refuse `walks` walks whose W(n, min(k, n)) each sum past `WORK_CAP`, read at each call."""
     work = walk_work(n, min(k, n))
-    if work > WORK_CAP:
-        raise WorkCapExceededError(
-            f"the distance walk's work W({n},{k}) = {work} exceeds the work cap of {WORK_CAP}"
-        )
+    if walks * work > WORK_CAP:
+        raise WorkCapExceededError(f"the work of {walks} distance walk(s) at W({n},{k}) = "
+                                   f"{work} exceeds the work cap of {WORK_CAP}")
 
 
 def distance_to_k_junta(f: BooleanFunction, dist: Distribution, k: int) -> DistanceCertificate:

@@ -86,7 +86,7 @@ def gen_far_fixture(
 
     Families:
       parity          parity of k+1 random variables, uniform D (distance 1/2);
-      random_function uniformly random table, uniform D, resampled until certified;
+      random_function uniformly random table, uniform D, redrawn until certified or capped;
       planted         mass confined to a random subcube carrying a (k+1)-parity.
     """
     if family not in FAR_FAMILIES:
@@ -94,7 +94,8 @@ def gen_far_fixture(
     tries = RANDOM_FUNCTION_RETRIES if family == "random_function" else 1
     uniform = None if family == "planted" else Distribution.uniform(n)
     best = 0.0
-    for _ in range(tries):
+    for draw in range(1, tries + 1):
+        check_walk_work(n, k, draw)  # the walks run so far and this draw's, within the cap
         f, dist = _far_candidate(n, k, rng, family, uniform)
         cert = distance_to_k_junta(f, dist, k)
         if cert.distance >= eps - 1e-12:

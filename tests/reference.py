@@ -6,7 +6,7 @@ the tester: the algorithm sees f only through its oracles.
 
 import numpy as np
 
-from juntatester.boolfn import BitString, Cube, index_mask
+from juntatester.boolfn import BitString, Cube, index_mask, restricted_spectrum
 
 
 def relevant_variables(f) -> frozenset[int]:
@@ -67,3 +67,24 @@ def reference_first_relevant_attempt(f, dist, fixed, count, rng):
         if f.table[x] != f.table[x ^ t]:
             return j + 1, Cube(BitString(n, x), BitString(n, x ^ t))
     return None
+
+
+def subset_for_mask(spectrum, mask: int) -> frozenset[int]:
+    """The variables of a `RestrictedSpectrum` that bit j of `mask` selects:
+    bit j is `spectrum.positions[j]`."""
+    return frozenset(v for j, v in enumerate(spectrum.positions) if mask >> j & 1)
+
+
+def reference_spectrum_listing(f, cube) -> dict:
+    """The `spectrum` command's document, built as it once was: a dict of the
+    restricted coefficients keyed by frozenset, then one list and one frozenset
+    per subset of I(B) to look each up, 0.0 when absent."""
+    spectrum = restricted_spectrum(f, cube)
+    known = {subset_for_mask(spectrum, m): float(c) for m, c in enumerate(spectrum.coefficients)}
+    positions = sorted(cube.disagreement)
+    coefficients = {}
+    for mask in range(1 << len(positions)):
+        subset = [v for j, v in enumerate(positions) if mask >> j & 1]
+        coefficients[",".join(map(str, subset))] = known.get(frozenset(subset), 0.0)
+    return {"coefficients": coefficients,
+            "squared_sum": float((spectrum.coefficients ** 2).sum())}

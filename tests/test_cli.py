@@ -3,19 +3,21 @@ import copy
 import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juntatester import cli
-from juntatester.boolfn import BooleanFunction
+from juntatester import cli, distribution, harness
+from juntatester.boolfn import BitString, BooleanFunction, Cube
 from juntatester.cli import main
 from juntatester.distribution import Distribution
 from juntatester.harness import gen_random_junta
 
-from reference import relevant_variables
+from reference import reference_spectrum_listing, relevant_variables
 
 
 @pytest.fixture
@@ -277,6 +279,66 @@ class TestSpectrumCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "78a9c14778e5401a6450bf34d4d4961210116ba23576cff9491ec17982dec7bc"
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_output_matches_the_reference_listing(self, tmp_path_factory, n, junta, seed):
+        """The bytes of the frozenset-keyed listing that `spectrum` once built, on
+        plain and junta-backed functions over random cubes."""
+        rng = np.random.default_rng(seed)
+        if junta:
+            k = int(rng.integers(0, n + 1))
+            variables = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
+            f = BooleanFunction.from_junta(n, variables, rng.integers(0, 2, size=1 << k))
+        else:
+            f = BooleanFunction(n, rng.integers(0, 2, size=1 << n))
+        x, y = (BitString(n, int(v)) for v in rng.integers(0, 1 << n, size=2))
+        fpath = tmp_path_factory.mktemp("spectrum") / "f.json"
+        fpath.write_text(json.dumps(f.to_json()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["spectrum", "--function", str(fpath),
+                             "--cube-x", str(x), "--cube-y", str(y)])
+        assert code == 0
+        assert out.getvalue() == json.dumps(reference_spectrum_listing(f, Cube(x, y)),
+                                            sort_keys=True) + "\n"
+
+    def test_bytes_per_printed_coefficient(self, tmp_path):
+        """A full-cube listing of a random table on 14 variables allocates under
+        400 B per printed coefficient at its peak, its output aside: about 220 B on
+        CPython 3.11, where the frozenset-keyed listing took about 920 B."""
+        n = 14
+        fpath = tmp_path / "f.json"
+        f = BooleanFunction(n, np.random.default_rng(n).integers(0, 2, size=1 << n))
+        fpath.write_text(json.dumps(f.to_json()))
+        argv = ["spectrum", "--function", str(fpath), "--cube-x", "0" * n, "--cube-y", "1" * n]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak / (1 << n) < 400
+
+    def test_cube_past_the_cap_exits_4_before_the_spectrum(self, capsys, monkeypatch, tmp_path):
+        """|I(B)| above `SPECTRUM_MAX_DIM` exits 4 before `restricted_spectrum`
+        runs; |I(B)| at the cap is listed."""
+        def never(*args):
+            raise AssertionError("the spectrum was computed")
+
+        fpath = tmp_path / "f.json"
+        fpath.write_text(json.dumps(BooleanFunction.parity(4, [1, 2]).to_json()))
+        monkeypatch.setattr(cli, "SPECTRUM_MAX_DIM", 3)
+        code, out, _ = run_cli(capsys, "spectrum", "--function", str(fpath),
+                               "--cube-x", "0000", "--cube-y", "1110")
+        assert code == 0 and len(json.loads(out)["coefficients"]) == 8
+        monkeypatch.setattr(cli, "restricted_spectrum", never)
+        code, out, err = run_cli(capsys, "spectrum", "--function", str(fpath),
+                                 "--cube-x", "0000", "--cube-y", "1111")
+        assert (code, out) == (4, "")
+        assert err == "error: |I(B)| = 4 exceeds the spectrum cap of 3\n"
 
 
 class TestExperimentCommand:
@@ -586,6 +648,15 @@ GOOD_CONFIG = {"n": 8, "k": 2, "eps": 0.25, "trials": 3, "master_seed": 1}
          (None, "--out-function and --out-certificate name one file")),
         (["gen", "--kind", "junta", "--n", "6", "--k", "2",
           "--out-dist", "d" * 300 + ".json"], (None, "cannot write")),
+        (["run", "--k", "2", "--eps", "0.25", "--seed", "1"],
+         ({"n": 6, "dense": [1] * 64}, "dimension mismatch: function n=8, distribution n=6")),
+        (["distance", "--k", "1"],
+         ({"n": 6, "dense": [1] * 64}, "dimension mismatch: function n=8, distribution n=6")),
+        (["distance", "--k", "-1"], ({"n": 8, "dense": [1] * 256}, "k must be nonnegative")),
+        (["spectrum", "--cube-x", "0a1", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101"}, "not a bit string: '0a1'")),
+        (["spectrum", "--cube-x", "01", "--cube-y", "011"],
+         ({"n": 3, "table": "01010101"}, "corner dimensions differ: 2 vs 3")),
     ],
 )
 def test_exit_code_matrix(capsys, tmp_path, parity_files, argv, config):
@@ -640,6 +711,24 @@ def test_work_cap_exits_4(capsys, monkeypatch, tmp_path, junta_files, argv, conf
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "work cap" in err
+
+
+def test_random_function_redraws_stop_at_the_work_cap(capsys, monkeypatch, tmp_path):
+    """A distance no random function reaches exits 4 once the walks run so far
+    and the next one would pass the work cap, read when `gen` runs: three
+    walks under a cap of three, not a hundred and then exit 3."""
+    walks = []
+    certify = harness.distance_to_k_junta
+    monkeypatch.setattr(distribution, "WORK_CAP", 3 * distribution.walk_work(8, 2))
+    monkeypatch.setattr(harness, "distance_to_k_junta", lambda *a: walks.append(a) or certify(*a))
+    code, out, err = run_cli(
+        capsys, "gen", "--kind", "random_function", "--n", "8", "--k", "2", "--eps", "0.6",
+        "--seed", "1", "--out-function", str(tmp_path / "f.json"),
+        "--out-dist", str(tmp_path / "d.json"),
+    )
+    assert (code, out, len(walks)) == (4, "", 3)
+    assert err.startswith("error: the work of 4 distance walk(s)") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # Valid documents on n=4 for the fuzz below: the function, distribution and

@@ -212,6 +212,21 @@ class TestRunTrials:
         assert report.rejection_rate == 0.0
         assert report.acceptance_rate + report.rejection_rate == 1.0
 
+    @pytest.mark.parametrize("variant, digest", [
+        ("classical", "fcb6a7dcc647215b80d879cd25813650f9eddecda4c6ef31efd8dcacc8124979"),
+        ("amplified", "3cfd7b1f6d5f33efdd506f033506589b04991e6b2a479c5e6383666a553b388f"),
+    ])
+    def test_point_mass_fixture_accepts_everything(self, variant, digest):
+        """D all on one random point: every trial accepts, and the report bytes
+        are pinned."""
+        config = ExperimentConfig(
+            n=12, k=3, eps=0.25, trials=60, master_seed=2024, variant=variant,
+            fixture={"kind": "junta", "dist": "point_mass"},
+        )
+        report = run_trials(config)
+        assert report.acceptance_rate == 1.0
+        assert hashlib.sha256(report.to_json_str().encode()).hexdigest() == digest
+
     def test_far_fixture_rejects_at_least_half(self):
         config = ExperimentConfig(
             n=8,

@@ -27,7 +27,7 @@ from juntatester.quantum import (
     stage_success_probability,
 )
 
-from reference import reference_first_relevant_attempt, relevant_variables
+from reference import reference_first_relevant_attempt, relevant_variables, subset_for_mask
 
 
 def cube_points(cube):
@@ -299,7 +299,7 @@ class TestFourierSample:
             sp = restricted_spectrum(f, B)
             signs = [(-1) ** int(f.table[v]) for v in cube_points(B)]
             avg = sum(signs) / len(signs)
-            assert sp.squared()[0] == pytest.approx(avg**2, abs=1e-9)
+            assert sp.coefficients[0] ** 2 == pytest.approx(avg**2, abs=1e-9)
 
     def test_far_from_constant_gives_nonempty_often(self):
         # if f restricted to B is 1/3-far from constant on B, Pr[T != empty] >= 8/9
@@ -315,7 +315,7 @@ class TestFourierSample:
                 continue
             found += 1
             sp = restricted_spectrum(f, B)
-            assert 1.0 - sp.squared()[0] >= 8 / 9 - 1e-9
+            assert 1.0 - sp.coefficients[0] ** 2 >= 8 / 9 - 1e-9
         assert found > 0
 
 
@@ -328,11 +328,11 @@ class TestFourierSample:
             seed = int(rng.integers(2**32))
             got = _fourier_samples(MembershipOracle(f), B, np.random.default_rng(seed), 50)
             spectrum = restricted_spectrum(f, B)
-            probs = spectrum.squared()
+            probs = spectrum.coefficients ** 2
             cum = np.cumsum(probs / probs.sum())
             u = np.random.default_rng(seed).random(50)
             masks = np.minimum(np.searchsorted(cum, u, side="right"), probs.size - 1)
-            assert got == [spectrum.subset_for_mask(int(m)) for m in masks]
+            assert got == [subset_for_mask(spectrum, int(m)) for m in masks]
 
     def test_memory_per_cube_point(self):
         """One sample on a 16-dimensional cube peaks at <= 28 bytes per point:
@@ -375,8 +375,8 @@ def reference_draws(f, cube, rng, count):
     """The Fourier draw with no memo: `restricted_spectrum`, the cumulative sum of
     its squares, and one binary search per uniform."""
     spectrum = restricted_spectrum(f, cube)
-    masks = np.searchsorted(np.cumsum(spectrum.squared()), rng.random(count), side="right")
-    return [spectrum.subset_for_mask(int(m)) for m in masks]
+    masks = np.searchsorted(np.cumsum(spectrum.coefficients ** 2), rng.random(count), side="right")
+    return [subset_for_mask(spectrum, int(m)) for m in masks]
 
 
 class TestDrawMemo:
